@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .center import center_oracle, graded_span_dims, is_central
+from .center import COLUMN_CAP, center_oracle, graded_span_dims, is_central
 from .deriv import (
     Derivation,
     apply_derivation,
@@ -146,14 +146,16 @@ def catalog_form(p: int, form_id: str, lam: Optional[int] = None) -> PotentialFo
     return _make_form(form_id, p, lam)
 
 
-def verify_expected_center(form: PotentialForm, max_degree: int) -> bool:
+def verify_expected_center(
+    form: PotentialForm, max_degree: int, column_cap: int = COLUMN_CAP
+) -> bool:
     """Oracle Hilbert function vs the subalgebra generated by the
     expected center generators, degree by degree up to max_degree."""
     struct = form.structure()
     for g in form.expected_center_gens:
         if not is_central(struct, g):
             return False
-    oracle = center_oracle(struct, max_degree)
+    oracle = center_oracle(struct, max_degree, column_cap)
     dims, _ = graded_span_dims(
         form.p, 3, list(form.expected_center_gens), max_degree
     )

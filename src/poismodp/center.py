@@ -22,6 +22,7 @@ from .errors import (
     WrongArity,
 )
 from .fieldpoly import MultiPoly, monomials_of_degree, monomials_upto_degree
+from .linalg import coeff_matrix, derivation_matrix, vec_to_poly
 from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 
 #: Guard on materializing kernel translates.
@@ -31,61 +32,37 @@ COLUMN_CAP = 5000
 
 
 # ---------------------------------------------------------------------
-# Vector/basis helpers shared with the loz and catalog modules.
+# Operator matrices on graded pieces
 # ---------------------------------------------------------------------
 
 
-def poly_to_vec(f: MultiPoly, index: dict) -> np.ndarray:
-    v = np.zeros(len(index), dtype=np.int64)
-    for e, c in f.terms.items():
-        v[index[e]] = c
-    return v
-
-
-def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
-    terms = {}
-    for k, e in enumerate(basis):
-        c = int(v[k]) % p
-        if c:
-            terms[e] = c
-    out = MultiPoly(p, n)
-    out.terms = terms
-    return out
-
-
-def basis_index(basis) -> dict:
-    return {e: k for k, e in enumerate(basis)}
+def _ad_matrices(struct: PoissonStructure, src, tgt) -> list[np.ndarray]:
+    """Matrices of the derivations ad_{x_i} = {x_i, -} from span(src)
+    into span(tgt)."""
+    n = struct.n
+    return [
+        derivation_matrix([struct.entry(i, j) for j in range(n)], src, tgt)
+        for i in range(n)
+    ]
 
 
 def bracket_matrices(struct: PoissonStructure, d: int) -> list[np.ndarray]:
     """For graded structures: matrices of f |-> {x_i, f} from A_d to A_{d+1}."""
-    p, n = struct.p, struct.n
-    src = monomials_of_degree(n, d)
-    tgt = basis_index(monomials_of_degree(n, d + 1))
-    mats = []
-    for i in range(n):
-        m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for k, exps in enumerate(src):
-            img = struct.bracket_with_gen(i, MultiPoly.monomial(p, n, exps))
-            for e, c in img.terms.items():
-                m[tgt[e], k] = c
-        mats.append(m)
-    return mats
+    n = struct.n
+    return _ad_matrices(struct, monomials_of_degree(n, d), monomials_of_degree(n, d + 1))
 
 
 @lru_cache(maxsize=None)
 def multiplication_matrices(p: int, n: int, d: int) -> tuple[np.ndarray, ...]:
     """Matrices of f |-> x_j f from A_d to A_{d+1}."""
     src = monomials_of_degree(n, d)
-    tgt = basis_index(monomials_of_degree(n, d + 1))
-    mats = []
-    for j in range(n):
-        m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for k, exps in enumerate(src):
-            e = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-            m[tgt[e], k] = 1
-        mats.append(m)
-    return tuple(mats)
+    tgt = monomials_of_degree(n, d + 1)
+    return tuple(
+        coeff_matrix(
+            [MultiPoly(p, n, {e[:j] + (e[j] + 1,) + e[j + 1 :]: 1}) for e in src], tgt
+        )
+        for j in range(n)
+    )
 
 
 # ---------------------------------------------------------------------
@@ -426,16 +403,8 @@ def _center_oracle_filtered(struct, max_degree, column_cap) -> CenterReport:
             f"filtration needs {len(src)} columns, cap is {column_cap}"
         )
     hmax = max((h.degree() for h in struct.table.values()), default=0)
-    tgt = basis_index(monomials_upto_degree(n, max_degree + max(hmax - 1, 0)))
-    blocks = []
-    for i in range(n):
-        m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for k, exps in enumerate(src):
-            img = struct.bracket_with_gen(i, MultiPoly.monomial(p, n, exps))
-            for e, c in img.terms.items():
-                m[tgt[e], k] = c
-        blocks.append(m)
-    kernel = linalg.nullspace(np.vstack(blocks), p)
+    tgt = monomials_upto_degree(n, max_degree + max(hmax - 1, 0))
+    kernel = linalg.nullspace(np.vstack(_ad_matrices(struct, src, tgt)), p)
     basis_polys = [vec_to_poly(v, p, n, src) for v in kernel]
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d
@@ -495,9 +464,7 @@ def _reduce_to_basis(polys: list[MultiPoly], p: int, n: int, d: int) -> list[Mul
     if not polys:
         return []
     src = monomials_of_degree(n, d)
-    idx = basis_index(src)
-    mat = np.stack([poly_to_vec(f, idx) for f in polys])
-    red, pivots = linalg.rref(mat, p)
+    red, pivots = linalg.rref(coeff_matrix(polys, src).T, p)
     return [vec_to_poly(red[r], p, n, src) for r in range(len(pivots))]
 
 
@@ -520,9 +487,8 @@ def reduce_generators(
         span = bases.get(d, [])
         if span:
             src = monomials_of_degree(n, d)
-            idx = basis_index(src)
-            mat = np.stack([poly_to_vec(f, idx) for f in span])
-            if linalg.in_row_space(mat, poly_to_vec(g, idx), p):
+            mat = coeff_matrix(span, src).T
+            if linalg.in_row_space(mat, coeff_matrix([g], src)[:, 0], p):
                 continue
         kept.append(g)
     return kept
@@ -547,19 +513,15 @@ def rank_over_subring(
         if not basis:
             continue
         src = monomials_of_degree(n, d)
-        idx = basis_index(src)
-        mat = np.stack([poly_to_vec(f, idx) for f in basis])
         products = []
         for k in range(1, d // p + 1):
             for v in monomials_of_degree(n, k):
                 pv = tuple(p * e for e in v)
                 for h in sub_bases.get(d - p * k, []):
                     products.append(MultiPoly.monomial(p, n, pv) * h)
+        quotient = linalg.rank(coeff_matrix(basis, src), p)
         if products:
-            pmat = np.stack([poly_to_vec(f, idx) for f in products])
-            quotient = linalg.rank(mat, p) - linalg.rank(pmat, p)
-        else:
-            quotient = linalg.rank(mat, p)
+            quotient -= linalg.rank(coeff_matrix(products, src), p)
         if quotient:
             last_nonzero = d
         count += quotient

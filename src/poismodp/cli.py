@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import fixtures
 from .catalog import FORM_IDS, catalog_form, potential_catalog, verify_expected_center
 from .center import (
+    COLUMN_CAP,
     CenterReport,
     center_generators_skew,
     center_oracle,
@@ -30,6 +31,7 @@ from .deriv import is_unimodular
 from .errors import CapExceeded, ParseError, PoisError, require_prime
 from .fieldpoly import format_poly
 from .loz import (
+    CANDIDATE_CAP,
     c_loz,
     decomposable_witness,
     is_inferable,
@@ -40,19 +42,20 @@ from .serial import dump_algebra, load_algebra_file
 from .structure import SkewMatrix, from_skew_matrix
 
 SCHEMA = 1
-DEFAULT_SEED = 20240801
+
+# Options given only to the commands that read them; --format goes to all.
+_OPTIONS = {
+    "--threads": dict(type=int, default=1,
+                      help="worker processes; output is identical for any value"),
+    "--cap-columns": dict(type=int, default=COLUMN_CAP),
+    "--cap-candidates": dict(type=int, default=CANDIDATE_CAP),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized paths (none in batch commands; "
-                             "kept for interface stability)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the survey; output is "
-                             "identical for any value")
-    parser.add_argument("--cap-columns", type=int, default=5000)
-    parser.add_argument("--cap-candidates", type=int, default=10**7)
+    for name in options:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-degree", type=int, default=None)
     pc.add_argument("--engine", choices=("monoid", "oracle", "both"),
                     default="oracle")
-    _add_common(pc)
+    _add_common(pc, "--cap-columns")
 
     pg = sub.add_parser("gorenstein", help="Gorenstein test for a skew center")
     pg.add_argument("--algebra", required=True)
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--normal-degree", type=int, default=3)
     pl.add_argument("--max-degree", type=int, default=None)
     pl.add_argument("--predicates", action="store_true")
-    _add_common(pl)
+    _add_common(pl, "--cap-columns", "--cap-candidates")
 
     pt = sub.add_parser("catalog", help="dimension-3 potential catalog")
     pt.add_argument("--p", type=int, required=True)
@@ -92,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--lam", type=int, default=None)
     pt.add_argument("--verify", action="store_true")
     pt.add_argument("--max-degree", type=int, default=12)
-    _add_common(pt)
+    _add_common(pt, "--cap-columns")
 
     ps = sub.add_parser("survey", help="exhaustive skew-matrix survey")
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--n", type=int, default=3)
-    _add_common(ps)
+    _add_common(ps, "--threads", "--cap-candidates")
 
     pv = sub.add_parser("verify-fixtures", help="replay the worked examples")
     _add_common(pv)
@@ -277,7 +280,8 @@ def cmd_loz(args) -> int:
     if args.predicates:
         inferable = is_inferable(struct, group)
         quasi = is_quasi_inferable(struct, group)
-        witness = decomposable_witness(struct, group, max_degree)
+        center = center_oracle(struct, max_degree, args.cap_columns)
+        witness = decomposable_witness(struct, group, max_degree, center)
         payload["inferable"] = inferable
         payload["quasi_inferable"] = quasi
         payload["decomposable_witness"] = (
@@ -327,7 +331,7 @@ def cmd_catalog(args) -> int:
         }
         line = f"{form.label}: omega = {format_poly(form.omega)}"
         if args.verify:
-            ok = verify_expected_center(form, args.max_degree)
+            ok = verify_expected_center(form, args.max_degree, args.cap_columns)
             entry["center_verified"] = ok
             line += f"  center_verified={ok}"
             if not ok:
@@ -339,14 +343,14 @@ def cmd_catalog(args) -> int:
 
 
 def _survey_row(job) -> tuple:
-    p, n, upper = job
+    p, n, upper, cap = job
     c = _matrix_from_upper(p, n, upper)
     m = skew_monoid(c)
     struct = from_skew_matrix(c)
     gor, _ = gorenstein_skew(m)
     thm38 = gorenstein_via_theorem38(m)
     uni = is_unimodular(struct)
-    order = log_ozone_group(struct, 1).order
+    order = log_ozone_group(struct, 1, cap).order
     label = classify_skew3(c) if (n == 3 and p > 3) else None
     beta = find_beta(m)
     return (
@@ -371,13 +375,13 @@ def cmd_survey(args) -> int:
     total = p ** (n * (n - 1) // 2)
     if total > args.cap_candidates:
         raise CapExceeded(f"survey of {total} matrices exceeds the candidate cap")
-    jobs = [(p, n, upper) for upper in _upper_tuples(p, n)]
+    jobs = [(p, n, upper, args.cap_candidates) for upper in _upper_tuples(p, n)]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = dict(pool.map(_survey_row, jobs, chunksize=16))
     else:
         rows = dict(_survey_row(job) for job in jobs)
-    ordered = [rows[upper] for _, _, upper in jobs]
+    ordered = [rows[upper] for _, _, upper, _ in jobs]
     problems = []
     for row in ordered:
         if row["unimodular"] and not row["gorenstein"]:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArityMismatch, ModulusMismatch
-from .fieldpoly import MultiPoly
+from .fieldpoly import MultiPoly, monomials_of_degree
+from .linalg import coeff_matrix, derivation_matrix
 from .structure import PoissonStructure
 
 
@@ -68,23 +69,12 @@ class Derivation:
         coefficients of d(x_i) on (x_1, ..., x_n)."""
         if not self.is_graded_degree_zero():
             raise ArityMismatch("matrix form needs a graded degree-0 derivation")
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, g in enumerate(self.images):
-            for exps, c in g.terms.items():
-                j = next(k for k, e in enumerate(exps) if e)
-                m[i, j] = c
-        return m
+        return coeff_matrix(self.images, monomials_of_degree(self.n, 1)).T
 
     def matrix_on_degree(self, d: int, basis) -> np.ndarray:
         """Matrix of the action on the degree-d component; column k holds
         the coefficients of d(basis[k]) on the same basis."""
-        index = {e: r for r, e in enumerate(basis)}
-        m = np.zeros((len(basis), len(basis)), dtype=np.int64)
-        for k, exps in enumerate(basis):
-            img = apply_derivation(self, MultiPoly.monomial(self.p, self.n, exps))
-            for e, c in img.terms.items():
-                m[index[e], k] = c
-        return m
+        return derivation_matrix(self.images, basis, basis)
 
     def key(self) -> tuple:
         if self._key is None:

@@ -7,6 +7,9 @@ them too, so the fixtures double as regression artifacts.
 
 from __future__ import annotations
 
+import numpy as np
+
+from . import linalg
 from .catalog import (
     modular_potential_pipeline,
     potential_catalog,
@@ -406,21 +409,12 @@ def check_nongraded_example() -> list[str]:
     _expect(problems, {format_poly(f) for f, _ in nonconstant} == expected,
             f"normal linear forms mismatch: {[format_poly(f) for f, _ in nonconstant]}")
     deltas = [d for _, d in nonconstant]
-    # F_p-linear independence of the three derivations
-    from .fieldpoly import iter_coefficient_vectors
-
-    dependent = False
-    for combo in iter_coefficient_vectors(p, len(deltas)):
-        if not any(combo):
-            continue
-        total = Derivation.zero(p, 2)
-        for cc, dd in zip(combo, deltas):
-            if cc:
-                total = total + dd * cc
-        if total.is_zero():
-            dependent = True
-            break
-    _expect(problems, not dependent, "derivations must be F_p-independent")
+    basis = sorted({e for d in deltas for g in d.images for e in g.terms})
+    # column k: the coefficients of every image of deltas[k]
+    mat = np.vstack([linalg.coeff_matrix([d.images[j] for d in deltas], basis)
+                     for j in range(2)])
+    _expect(problems, linalg.rank(mat, p) == len(deltas),
+            "derivations must be F_p-independent")
     return problems
 
 

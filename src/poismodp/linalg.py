@@ -3,27 +3,86 @@
 Entries are kept reduced in [0, p).  Everything here is deterministic:
 pivots are chosen first-nonzero top-down, nullspace vectors follow the
 free columns in ascending order.
+
+Polynomials and matrices on a monomial basis meet only here:
+`coeff_matrix` and `derivation_matrix` fill matrices from polynomial
+terms, and `vec_to_poly` reads a vector back.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 import numpy as np
 
-from .errors import ZeroInput
-from .fieldpoly import UniPoly, ff_inv
+from .errors import DegreeOverflow, ZeroInput
+from .fieldpoly import DEGREE_CAP, MultiPoly, UniPoly, ff_inv
 
 
-def as_matrix(rows, p: int) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64) % p
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a
+def coeff_matrix(polys, basis) -> np.ndarray:
+    """Column k holds the coefficients of polys[k] on the monomial basis."""
+    index = {e: r for r, e in enumerate(basis)}
+    m = np.zeros((len(basis), len(polys)), dtype=np.int64)
+    for k, f in enumerate(polys):
+        for e, c in f.terms.items():
+            m[index[e], k] = c
+    return m
+
+
+def derivation_matrix(images, src, tgt) -> np.ndarray:
+    """Matrix of the derivation x_j |-> images[j] from span(src) into
+    span(tgt), computed on exponents:
+    delta(x^e) = sum_j e_j x^(e - eps_j) images[j].
+
+    Like the MultiPoly arithmetic it replaces, it raises DegreeOverflow
+    for a source monomial or a nonzero image term above DEGREE_CAP.
+    """
+    for e in src:
+        if sum(e) > DEGREE_CAP:
+            raise DegreeOverflow(f"term degree {sum(e)} exceeds cap {DEGREE_CAP}")
+    index = {e: r for r, e in enumerate(tgt)}
+    m = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    for j, g in enumerate(images):
+        if g.is_zero:
+            continue
+        # exponent shift g_e - eps_j per term of g; (row, column) pairs
+        # are then distinct for this j
+        shifts = [
+            (tuple(a - (i == j) for i, a in enumerate(ge)), c)
+            for ge, c in g.terms.items()
+        ]
+        added = g.degree() - 1
+        rows, cols, vals = [], [], []
+        for k, e in enumerate(src):
+            ej = e[j] % g.p
+            if not ej:
+                continue
+            if sum(e) + added > DEGREE_CAP:
+                raise DegreeOverflow(
+                    f"term degree {sum(e) + added} exceeds cap {DEGREE_CAP}"
+                )
+            for shift, c in shifts:
+                rows.append(index[tuple(map(add, e, shift))])
+                cols.append(k)
+                vals.append(ej * c)
+        m[rows, cols] = (m[rows, cols] + vals) % g.p
+    return m
+
+
+def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
+    terms = {}
+    for k, e in enumerate(basis):
+        c = int(v[k]) % p
+        if c:
+            terms[e] = c
+    out = MultiPoly(p, n)
+    out.terms = terms
+    return out
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    m = a % p
-    m = m.astype(np.int64, copy=True)
+    m = np.ascontiguousarray(a % p, dtype=np.int64)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0

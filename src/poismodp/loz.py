@@ -19,14 +19,11 @@ import numpy as np
 from . import linalg
 from .center import (
     CenterReport,
-    basis_index,
     bracket_matrices,
     center_oracle,
     multiplication_matrices,
-    poly_to_vec,
     rank_over_subring,
     skew_monoid,
-    vec_to_poly,
 )
 from .deriv import Derivation
 from .errors import (
@@ -45,6 +42,7 @@ from .fieldpoly import (
     monomials_upto_degree,
     squarefree,
 )
+from .linalg import coeff_matrix, vec_to_poly
 from .structure import PoissonStructure
 
 #: Guard on the number of candidates any search path may enumerate.
@@ -96,13 +94,13 @@ def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
     """
     p, n = struct.p, struct.n
     xs = struct.gens()
-    rows = []
+    blocks = [np.zeros((0, n * n), dtype=np.int64)]
     for i in range(n):
         for j in range(i + 1, n):
             h = struct.entry(i, j)
-            # residual coefficient of D[a, b]:
+            # residual coefficient of D[a, b], in column a * n + b:
             #   (dh/dx_a) x_b - [a == i] {x_b, x_j} - [a == j] {x_i, x_b}
-            coeff_polys = {}
+            coeff_polys = []
             for a in range(n):
                 ha = h.partial(a)
                 for b in range(n):
@@ -111,19 +109,10 @@ def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
                         k = k - struct.entry(b, j)
                     if a == j:
                         k = k - struct.entry(i, b)
-                    if not k.is_zero:
-                        coeff_polys[(a, b)] = k
-            monos = sorted({e for kk in coeff_polys.values() for e in kk.terms})
-            for e in monos:
-                row = np.zeros(n * n, dtype=np.int64)
-                for (a, b), kk in coeff_polys.items():
-                    row[a * n + b] = kk.terms.get(e, 0)
-                rows.append(row)
-    if not rows:
-        mat = np.zeros((0, n * n), dtype=np.int64)
-    else:
-        mat = np.stack(rows)
-    return [v.reshape(n, n) for v in linalg.nullspace(mat, p)]
+                    coeff_polys.append(k)
+            monos = sorted({e for kk in coeff_polys for e in kk.terms})
+            blocks.append(coeff_matrix(coeff_polys, monos))
+    return [v.reshape(n, n) for v in linalg.nullspace(np.vstack(blocks), p)]
 
 
 def _scan_direct(struct, d, homogeneous, cap):
@@ -420,8 +409,6 @@ def decomposable_witness(
             continue
         blocks.append((delta, f))
     for m in range(1, max_degree + 1):
-        src = monomials_of_degree(n, m)
-        idx = basis_index(src)
         cols = []
         col_info = []
         for bi, (delta, f) in enumerate(blocks):
@@ -430,12 +417,11 @@ def decomposable_witness(
             if need < 0:
                 continue
             for z in center.graded_basis.get(need, []):
-                cols.append(poly_to_vec(z * f, idx))
+                cols.append(z * f)
                 col_info.append((bi, z))
         if len(cols) < 2:
             continue
-        mat = np.stack(cols, axis=1)
-        kernel = linalg.nullspace(mat, p)
+        kernel = linalg.nullspace(coeff_matrix(cols, monomials_of_degree(n, m)), p)
         if not kernel:
             continue
         vec = kernel[0]
@@ -469,7 +455,6 @@ class MaximalOrderReport:
     rank: Optional[str]
     rank_exact: bool
     conditions_hold: Optional[bool]
-    consistent: Optional[bool]
     notes: tuple[str, ...] = ()
 
 
@@ -492,7 +477,6 @@ def theorem212_check(
             rank=str(rank),
             rank_exact=rank.denominator == 1,
             conditions_hold=conditions,
-            consistent=conditions,
             notes=notes,
         )
     center = center_oracle(struct, max_degree)
@@ -504,7 +488,6 @@ def theorem212_check(
             rank=None,
             rank_exact=False,
             conditions_hold=None,
-            consistent=None,
             notes=notes + ("rank unavailable for non-graded structures",),
         )
     sub_bases = {d: list(bs) for d, bs in center.graded_basis.items()}
@@ -517,6 +500,5 @@ def theorem212_check(
         rank=str(rank),
         rank_exact=rank.denominator == 1,
         conditions_hold=conditions,
-        consistent=None,
         notes=notes + rank_notes,
     )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -155,6 +156,16 @@ class TestLoz:
         )
         assert code == 2
 
+    def test_column_cap_reaches_predicates(self, capsys, circulant_p3):
+        # the decomposability search solves the center up to degree 3;
+        # degree 2 already needs 6 columns
+        code = main(
+            ["loz", "--algebra", circulant_p3, "--normal-degree", "1",
+             "--max-degree", "3", "--predicates", "--cap-columns", "5"]
+        )
+        assert code == 2
+        assert "cap is 5" in capsys.readouterr().err
+
 
 class TestCatalog:
     def test_emit_form(self, capsys):
@@ -187,6 +198,14 @@ class TestCatalog:
         )
         assert code == 0
         assert data["forms"][0]["center_verified"] is True
+
+    def test_verify_column_cap(self, capsys):
+        code = main(
+            ["catalog", "--p", "5", "--form", "Cube", "--verify",
+             "--max-degree", "12", "--cap-columns", "10"]
+        )
+        assert code == 2
+        assert "cap is 10" in capsys.readouterr().err
 
     def test_small_characteristic(self, capsys):
         assert main(["catalog", "--p", "3"]) == 2
@@ -224,6 +243,62 @@ class TestSurvey:
         assert main(
             ["survey", "--p", "13", "--n", "5", "--cap-candidates", "100"]
         ) == 2
+
+    def test_cap_reaches_group_search(self, capsys):
+        # 5 matrices fit the cap; each degree-1 group search scans 6
+        # projective linear forms
+        argv = ["survey", "--p", "5", "--n", "2", "--format", "json"]
+        assert main(argv + ["--cap-candidates", "6"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--cap-candidates", "5"]) == 2
+        assert "6 candidates at degree 1, cap is 5" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-fixtures", "--seed", "1"],
+            ["center", "--algebra", "a.json", "--threads", "2"],
+            ["catalog", "--p", "5", "--cap-candidates", "10"],
+            ["survey", "--p", "3", "--cap-columns", "10"],
+            ["gorenstein", "--algebra", "a.json", "--cap-columns", "10"],
+        ],
+    )
+    def test_rejects_flag_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "bench", "golden",
+    "center_oracle.json",
+)
+
+
+def _catalog_golden_jobs():
+    with open(GOLDEN) as fh:
+        jobs = json.load(fh)["jobs"]
+    return [pytest.param(k, v, id=k) for k, v in sorted(jobs.items())
+            if k.startswith("catalog/p7/")]
+
+
+class TestGoldenCatalog:
+    """`catalog --verify` at p=7 replayed against the benchmark's recorded
+    answers; SquareLine's exit 1 is the expected answer."""
+
+    @pytest.mark.parametrize("job_id, expected", _catalog_golden_jobs())
+    def test_replay(self, capsys, job_id, expected):
+        form = job_id.rsplit("/", 1)[1]
+        argv = ["catalog", "--p", "7", "--verify", "--max-degree", "21",
+                "--format", "json"]
+        if form.startswith("Elliptic-"):
+            argv += ["--form", "Elliptic", "--lam", form.split("-")[1]]
+        else:
+            argv += ["--form", form]
+        rc = main(argv)
+        assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
 
 
 class TestOreFile:

@@ -331,7 +331,7 @@ class TestMaximalOrderReport:
         s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 2], [-2, 0]]))
         report = theorem212_check(s, 1, 10)
         assert report.order == 25 and report.rank == "25"
-        assert report.inferable and report.conditions_hold and report.consistent
+        assert report.inferable and report.conditions_hold
 
     def test_jordan_fails_conditions(self):
         s = jordan_plane(5)
@@ -350,7 +350,7 @@ class TestMaximalOrderReport:
         for u in [(1, 0, 0), (1, 2, 3), (2, 2, 2)]:
             c = SkewMatrix.from_upper(5, 3, {(0, 1): u[0], (0, 2): u[1], (1, 2): u[2]})
             report = theorem212_check(from_skew_matrix(c), 1, 10)
-            assert report.consistent
+            assert report.conditions_hold
 
     def test_explicit_table_uses_oracle_rank(self):
         # same bracket as a skew structure but loaded as an explicit
@@ -363,4 +363,3 @@ class TestMaximalOrderReport:
         assert report.order == p**2
         assert report.rank == str(p**2) and report.rank_exact
         assert report.conditions_hold
-        assert report.consistent is None

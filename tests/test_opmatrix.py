@@ -1,0 +1,150 @@
+"""The operator-matrix layer (`linalg.coeff_matrix`, `linalg.derivation_matrix`)
+against the MultiPoly reference: every column equals the image of one
+monomial computed by `bracket_with_gen` or `apply_derivation`."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poismodp.catalog import potential_catalog
+from poismodp.center import bracket_matrices, center_oracle, multiplication_matrices
+from poismodp.deriv import Derivation, apply_derivation
+from poismodp.errors import DegreeOverflow
+from poismodp.fieldpoly import (
+    MultiPoly,
+    monomials_of_degree,
+    monomials_upto_degree,
+    parse_poly,
+)
+from poismodp.linalg import coeff_matrix, derivation_matrix
+from poismodp.structure import SkewMatrix, explicit_structure, from_skew_matrix
+
+BOUNDED = settings(derandomize=True, max_examples=30, deadline=None)
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def column_terms(m, k, basis) -> dict:
+    return {e: int(c) for e, c in zip(basis, m[:, k]) if c}
+
+
+def assert_columns(m, src, tgt, reference):
+    assert m.shape == (len(tgt), len(src))
+    for k, e in enumerate(src):
+        assert column_terms(m, k, tgt) == reference(e).terms, e
+
+
+def assert_bracket_columns(struct, d):
+    p, n = struct.p, struct.n
+    src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
+    for i, m in enumerate(bracket_matrices(struct, d)):
+        assert_columns(
+            m, src, tgt,
+            lambda e: struct.bracket_with_gen(i, MultiPoly.monomial(p, n, e)),
+        )
+
+
+@st.composite
+def skew_structures(draw):
+    p = draw(PRIMES)
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(0, p - 1))
+             for i in range(n) for j in range(i + 1, n)}
+    return from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+
+
+@st.composite
+def polys(draw, p, n, max_degree, max_terms=3):
+    monos = monomials_upto_degree(n, max_degree)
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
+                                 max_size=max_terms))
+    return MultiPoly(p, n, terms)
+
+
+class TestDerivationMatrix:
+    @BOUNDED
+    @given(skew_structures(), st.integers(0, 4))
+    def test_skew_brackets(self, struct, d):
+        assert_bracket_columns(struct, d)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_catalog_brackets(self, p):
+        for form in potential_catalog(p):
+            for d in range(6):
+                assert_bracket_columns(form.structure(), d)
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(0, 4))
+    def test_nongraded_brackets(self, data, p, top):
+        # any bracket on two variables satisfies the Jacobi identity
+        h = data.draw(polys(p, 2, 3))
+        struct = explicit_structure(p, 2, {(0, 1): h})
+        src = monomials_upto_degree(2, top)
+        tgt = monomials_upto_degree(2, top + max((h.degree() or 0) - 1, 0))
+        for i in range(2):
+            m = derivation_matrix([struct.entry(i, j) for j in range(2)], src, tgt)
+            assert_columns(
+                m, src, tgt,
+                lambda e: struct.bracket_with_gen(i, MultiPoly.monomial(p, 2, e)),
+            )
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3))
+    def test_random_derivations(self, data, p, n, top):
+        delta = Derivation(p, n, [data.draw(polys(p, n, 2)) for _ in range(n)])
+        src = monomials_upto_degree(n, top)
+        tgt = monomials_upto_degree(n, top + 1)
+        m = derivation_matrix(delta.images, src, tgt)
+        assert_columns(
+            m, src, tgt,
+            lambda e: apply_derivation(delta, MultiPoly.monomial(p, n, e)),
+        )
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 4))
+    def test_matrix_on_degree(self, data, p, n, d):
+        mat = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                          max_size=n), min_size=n, max_size=n))
+        delta = Derivation.from_matrix(p, mat)
+        basis = monomials_of_degree(n, d)
+        assert_columns(
+            delta.matrix_on_degree(d, basis), basis, basis,
+            lambda e: apply_derivation(delta, MultiPoly.monomial(p, n, e)),
+        )
+        assert np.array_equal(delta.matrix(), np.array(mat, dtype=np.int64))
+
+    @BOUNDED
+    @given(PRIMES, st.integers(1, 4), st.integers(0, 4))
+    def test_multiplication_matrices(self, p, n, d):
+        src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
+        for j, m in enumerate(multiplication_matrices(p, n, d)):
+            assert_columns(
+                m, src, tgt,
+                lambda e: MultiPoly.variable(p, n, j) * MultiPoly.monomial(p, n, e),
+            )
+
+
+class TestCoeffMatrix:
+    def test_columns(self):
+        p = 5
+        basis = monomials_of_degree(2, 1)
+        m = coeff_matrix([parse_poly("x1 + 2*x2", p, 2), parse_poly("4*x2", p, 2)], basis)
+        assert m.tolist() == [[1, 0], [2, 4]]
+
+    def test_empty(self):
+        assert coeff_matrix([], monomials_of_degree(3, 2)).shape == (6, 0)
+
+
+class TestDegreeGuard:
+    def test_skew_2x2_p23(self):
+        # degree-63 sources bracket into degree 64, the cap; one more
+        # degree needs a degree-65 term
+        s = from_skew_matrix(SkewMatrix.from_rows(23, [[0, 1], [-1, 0]]))
+        assert len(center_oracle(s, 63).hilbert) == 64
+        with pytest.raises(DegreeOverflow, match="term degree 65 exceeds cap 64"):
+            center_oracle(s, 64)
+
+    def test_source_above_cap(self):
+        zero = MultiPoly.zero(3, 2)
+        with pytest.raises(DegreeOverflow, match="term degree 65"):
+            derivation_matrix([zero, zero], monomials_of_degree(2, 65), ())
