@@ -21,6 +21,7 @@ from .deriv import (
 )
 from .errors import (
     AlreadyUnimodular,
+    InternalCheckFailed,
     NotGraded,
     NotPoissonDerivation,
     PoisError,
@@ -207,7 +208,7 @@ def modular_potential_pipeline(
     delta = phi * ff_inv(3, p)
     twisted = twist(struct, delta)
     if not is_unimodular(twisted):
-        raise PoisError("internal error: twist by phi/3 failed to be unimodular")
+        raise InternalCheckFailed("twist by phi/3 failed to be unimodular")
     xs = struct.gens()
     omega = (
         xs[0] * twisted.entry(1, 2)
@@ -216,7 +217,7 @@ def modular_potential_pipeline(
     ) * ff_inv(3, p)
     recovered = from_potential(omega)
     if recovered.table != twisted.table:
-        raise PoisError("internal error: twisted structure is not Jacobian")
+        raise InternalCheckFailed("twisted structure is not Jacobian")
     if omega.is_zero:
         return omega, False
     verified = is_poisson_normal(struct, omega) and (

@@ -17,6 +17,7 @@ from . import linalg
 from .errors import (
     CapExceeded,
     DegreeBoundTooLarge,
+    InternalCheckFailed,
     PoisError,
     SmallCharacteristic,
     WrongArity,
@@ -165,7 +166,7 @@ def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> C
             gens.append(MultiPoly.monomial(p, n, b))
     for g in gens:
         if not is_central(struct, g):
-            raise PoisError(f"internal error: claimed generator {g} is not central")
+            raise InternalCheckFailed(f"claimed generator {g} is not central")
     D = max_degree if max_degree is not None else 2 * p
     series = hilbert_skew(m, D)
     gor, witness = gorenstein_skew(m)
@@ -248,13 +249,13 @@ def classify_skew3(c: SkewMatrix) -> str:
         return "Case1"
     if all(s == 0 for s in c.row_sums()):
         if not _matches_template(c, _template_2c):
-            raise PoisError("unimodular 3x3 skew matrix must match the cyclic form")
+            raise InternalCheckFailed("unimodular 3x3 skew matrix must match the cyclic form")
         return "Case2c"
     if _matches_template(c, _template_2a):
         return "Case2a"
     if _matches_template(c, _template_2b):
         return "Case2b"
-    raise PoisError("Gorenstein skew 3x3 matrix matched no classification case")
+    raise InternalCheckFailed("Gorenstein skew 3x3 matrix matched no classification case")
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Commands: center, gorenstein, classify-skew3, loz, catalog, survey,
 verify-fixtures.  Output is deterministic for identical inputs; exit
-status is 0 on success, 1 on a mathematical verification failure, and
-2 on usage or parse errors.
+status is 0 on success, 1 on a mathematical verification failure
+(including a failed internal self-check), and 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import fixtures
 from .catalog import FORM_IDS, catalog_form, potential_catalog, verify_expected_center
@@ -28,7 +27,13 @@ from .center import (
     skew_monoid,
 )
 from .deriv import is_unimodular
-from .errors import CapExceeded, ParseError, PoisError, require_prime
+from .errors import (
+    CapExceeded,
+    InternalCheckFailed,
+    ParseError,
+    PoisError,
+    require_prime,
+)
 from .fieldpoly import format_poly
 from .loz import (
     CANDIDATE_CAP,
@@ -45,8 +50,6 @@ SCHEMA = 1
 
 # Options given only to the commands that read them; --format goes to all.
 _OPTIONS = {
-    "--threads": dict(type=int, default=1,
-                      help="worker processes; output is identical for any value"),
     "--cap-columns": dict(type=int, default=COLUMN_CAP),
     "--cap-candidates": dict(type=int, default=CANDIDATE_CAP),
 }
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("survey", help="exhaustive skew-matrix survey")
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--n", type=int, default=3)
-    _add_common(ps, "--threads", "--cap-candidates")
+    _add_common(ps, "--cap-candidates")
 
     pv = sub.add_parser("verify-fixtures", help="replay the worked examples")
     _add_common(pv)
@@ -342,8 +345,7 @@ def cmd_catalog(args) -> int:
     return status
 
 
-def _survey_row(job) -> tuple:
-    p, n, upper, cap = job
+def _survey_row(p: int, n: int, upper, cap: int) -> dict:
     c = _matrix_from_upper(p, n, upper)
     m = skew_monoid(c)
     struct = from_skew_matrix(c)
@@ -353,20 +355,17 @@ def _survey_row(job) -> tuple:
     order = log_ozone_group(struct, 1, cap).order
     label = classify_skew3(c) if (n == 3 and p > 3) else None
     beta = find_beta(m)
-    return (
-        upper,
-        {
-            "upper": list(upper),
-            "box_size": len(m.B),
-            "gorenstein": gor,
-            "theorem38": thm38,
-            "unimodular": uni,
-            "loz_order_deg1": order,
-            "case": label,
-            "has_beta": beta is not None,
-            "I_size": len(m.I),
-        },
-    )
+    return {
+        "upper": list(upper),
+        "box_size": len(m.B),
+        "gorenstein": gor,
+        "theorem38": thm38,
+        "unimodular": uni,
+        "loz_order_deg1": order,
+        "case": label,
+        "has_beta": beta is not None,
+        "I_size": len(m.I),
+    }
 
 
 def cmd_survey(args) -> int:
@@ -375,13 +374,9 @@ def cmd_survey(args) -> int:
     total = p ** (n * (n - 1) // 2)
     if total > args.cap_candidates:
         raise CapExceeded(f"survey of {total} matrices exceeds the candidate cap")
-    jobs = [(p, n, upper, args.cap_candidates) for upper in _upper_tuples(p, n)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = dict(pool.map(_survey_row, jobs, chunksize=16))
-    else:
-        rows = dict(_survey_row(job) for job in jobs)
-    ordered = [rows[upper] for _, _, upper, _ in jobs]
+    ordered = [
+        _survey_row(p, n, upper, args.cap_candidates) for upper in _upper_tuples(p, n)
+    ]
     problems = []
     for row in ordered:
         if row["unimodular"] and not row["gorenstein"]:
@@ -463,10 +458,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, CapExceeded, FileNotFoundError, json.JSONDecodeError) as exc:
+    except InternalCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PoisError as exc:
+        return 1
+    except (PoisError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

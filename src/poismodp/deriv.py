@@ -71,9 +71,13 @@ class Derivation:
             raise ArityMismatch("matrix form needs a graded degree-0 derivation")
         return coeff_matrix(self.images, monomials_of_degree(self.n, 1)).T
 
-    def matrix_on_degree(self, d: int, basis) -> np.ndarray:
-        """Matrix of the action on the degree-d component; column k holds
-        the coefficients of d(basis[k]) on the same basis."""
+    def matrix_on_degree(self, d: int) -> np.ndarray:
+        """Matrix of the action of a degree-0 derivation on the degree-d
+        component; column k holds the coefficients of the image of the
+        k-th monomial of `monomials_of_degree(n, d)` on the same basis."""
+        if not self.is_graded_degree_zero():
+            raise ArityMismatch("matrix form needs a graded degree-0 derivation")
+        basis = monomials_of_degree(self.n, d)
         return derivation_matrix(self.images, basis, basis)
 
     def key(self) -> tuple:

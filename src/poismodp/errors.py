@@ -97,6 +97,10 @@ class CapExceeded(PoisError):
     pass
 
 
+class InternalCheckFailed(PoisError):
+    """A self-check on a computed answer failed: a bug, not a bad input."""
+
+
 def require_prime(p):
     """Reject non-prime moduli; the whole library assumes F_p."""
     if not isinstance(p, int) or p < 2:

@@ -11,6 +11,7 @@ used for division, leading terms, and printed output.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -38,10 +39,6 @@ def ff_inv(a: int, p: int) -> int:
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
-
-
-def ff_div(a: int, b: int, p: int) -> int:
-    return (a * ff_inv(b, p)) % p
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +148,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_coeff(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
 
     def coeff(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -272,12 +266,6 @@ class MultiPoly:
             comp = MultiPoly(self.p, self.n)
             comp.terms = buckets[d]
             out.append((d, comp))
-        return out
-
-    def homogeneous_component(self, d: int) -> "MultiPoly":
-        terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        out = MultiPoly(self.p, self.n)
-        out.terms = terms
         return out
 
     def extend(self, n_new: int) -> "MultiPoly":
@@ -576,24 +564,9 @@ def format_poly(f: MultiPoly, var_names=None) -> str:
     return " + ".join(parts)
 
 
-def iter_coefficient_vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All vectors in F_p^length, lexicographically ascending."""
-    vec = [0] * length
-    while True:
-        yield tuple(vec)
-        i = length - 1
-        while i >= 0 and vec[i] == p - 1:
-            vec[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        vec[i] += 1
-
-
 def iter_projective_vectors(p: int, length: int) -> Iterator[tuple[int, ...]]:
     """One representative per projective class: first nonzero entry is 1."""
     for lead in range(length):
         prefix = (0,) * lead + (1,)
-        rest = length - lead - 1
-        for tail in iter_coefficient_vectors(p, rest):
+        for tail in itertools.product(range(p), repeat=length - lead - 1):
             yield prefix + tail

@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DegreeOverflow, ZeroInput
+from .errors import DegreeOverflow, InternalCheckFailed, ZeroInput
 from .fieldpoly import DEGREE_CAP, MultiPoly, UniPoly, ff_inv
 
 
@@ -200,4 +200,4 @@ def minimal_polynomial(a: np.ndarray, p: int) -> UniPoly:
         if sol is not None:
             coeffs = [(-int(c)) % p for c in sol] + [1]
             return UniPoly(p, coeffs)
-    raise AssertionError("minimal polynomial of degree <= n must exist")
+    raise InternalCheckFailed("minimal polynomial of degree <= n must exist")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,7 @@ from .center import (
 from .deriv import Derivation
 from .errors import (
     DegreeOverflow,
+    InternalCheckFailed,
     NotGraded,
     NotGradedDegreeZero,
     NotNormal,
@@ -203,7 +206,7 @@ def enumerate_normal(
                 batch = _scan_eigenspaces(struct, d, pder0, cap)
                 for f, delta in batch:
                     if not is_poisson_normal(struct, f):
-                        raise AssertionError(
+                        raise InternalCheckFailed(
                             f"eigenspace scan produced a non-normal element {f}"
                         )
             found.extend(batch)
@@ -221,27 +224,57 @@ def enumerate_normal(
 @dataclass
 class LozGroup:
     """Additive closure of the log-ozone derivations found by a bounded
-    search; always a genuine subgroup of the full log-ozone group."""
+    search; always a genuine subgroup of the full log-ozone group.
+
+    The group is the F_p-span of `basis`; its elements and their
+    representatives are built only when `elements` or `representative`
+    is first read."""
 
     p: int
     n: int
     search_bound: int
     basis: list[tuple[Derivation, MultiPoly]]
-    elements: list[Derivation]
-    representatives: dict[tuple, MultiPoly]
+    found: dict[tuple, MultiPoly]
     notes: tuple[str, ...] = ()
 
     @property
     def order(self) -> int:
         return self.p ** len(self.basis)
 
+    @cached_property
+    def _closure(self) -> dict[tuple, tuple[Derivation, Optional[MultiPoly]]]:
+        """Every element by key, in ascending key order, with a normal
+        element realizing it: the one found by the search, else the
+        product of the basis elements' powers, else None if that product
+        overflows the degree cap."""
+        p, n = self.p, self.n
+        one = MultiPoly.const(p, n, 1)
+        closure = {}
+        for coeffs in itertools.product(range(p), repeat=len(self.basis)):
+            terms = [(c, b, f) for c, (b, f) in zip(coeffs, self.basis) if c]
+            delta = sum((b * c for c, b, _ in terms), Derivation.zero(p, n))
+            rep = self.found.get(delta.key())
+            if rep is None:
+                try:
+                    rep = prod((f**c for c, _, f in terms), start=one)
+                except DegreeOverflow:
+                    rep = None
+            closure[delta.key()] = (delta, rep)
+        return dict(sorted(closure.items()))
+
+    @property
+    def elements(self) -> list[Derivation]:
+        return [delta for delta, _ in self._closure.values()]
+
     def representative(self, delta: Derivation) -> Optional[MultiPoly]:
-        return self.representatives.get(delta.key())
+        return self._closure.get(delta.key(), (None, None))[1]
 
     def contains(self, delta: Derivation) -> bool:
-        return delta.key() in self.representatives or any(
-            delta == e for e in self.elements
-        )
+        if (delta.p, delta.n) != (self.p, self.n) or not delta.is_graded_degree_zero():
+            return False
+        rows = [b.matrix().reshape(-1) for b, _ in self.basis]
+        span = np.array(rows, dtype=np.int64).reshape(len(rows), self.n**2)
+        return linalg.in_row_space(span, delta.matrix().reshape(-1), self.p)
 
 
 def log_ozone_group(
@@ -256,52 +289,21 @@ def log_ozone_group(
     pairs = enumerate_normal(struct, dmax, cap)
 
     basis: list[tuple[Derivation, MultiPoly]] = []
-    span_rows: list[np.ndarray] = []
-    direct_reps: dict[tuple, MultiPoly] = {}
-    one = MultiPoly.const(p, n, 1)
-    direct_reps[Derivation.zero(p, n).key()] = one
+    span = np.zeros((0, n * n), dtype=np.int64)
+    found = {Derivation.zero(p, n).key(): MultiPoly.const(p, n, 1)}
     for f, delta in pairs:
-        key = delta.key()
-        if key not in direct_reps:
-            direct_reps[key] = f
-        if delta.is_zero():
-            continue
+        found.setdefault(delta.key(), f)
         vec = delta.matrix().reshape(-1)
-        if span_rows:
-            mat = np.stack(span_rows)
-            if linalg.in_row_space(mat, vec, p):
-                continue
+        if linalg.in_row_space(span, vec, p):
+            continue
         basis.append((delta, f))
-        span_rows.append(vec)
-
-    elements: list[Derivation] = []
-    representatives: dict[tuple, MultiPoly] = {}
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        delta = Derivation.zero(p, n)
-        for c, (b, _) in zip(coeffs, basis):
-            if c:
-                delta = delta + b * c
-        key = delta.key()
-        rep = direct_reps.get(key)
-        if rep is None:
-            rep = one
-            try:
-                for c, (_, bf) in zip(coeffs, basis):
-                    if c:
-                        rep = rep * bf**c
-            except DegreeOverflow:
-                rep = None
-        elements.append(delta)
-        if rep is not None:
-            representatives[key] = rep
-    elements.sort(key=lambda dd: dd.key())
+        span = np.vstack([span, vec])
     return LozGroup(
         p=p,
         n=n,
         search_bound=dmax,
         basis=basis,
-        elements=elements,
-        representatives=representatives,
+        found=found,
         notes=("order is a verified lower bound for the full log-ozone group",),
     )
 
@@ -323,7 +325,7 @@ def c_loz(
             ]
             hilbert.append(len(src))
             continue
-        blocks = [delta.matrix_on_degree(d, src) for delta in gens]
+        blocks = [delta.matrix_on_degree(d) for delta in gens]
         kernel = linalg.nullspace(np.vstack(blocks), p)
         graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
         hilbert.append(len(kernel))
@@ -344,7 +346,7 @@ def c_loz(
 def _require_degree_zero(struct: PoissonStructure, group: LozGroup) -> None:
     if not struct.graded:
         raise NotGradedDegreeZero("predicates need a graded structure")
-    for delta in group.elements:
+    for delta, _ in group.basis:
         if not delta.is_graded_degree_zero():
             raise NotGradedDegreeZero("group contains a non-degree-0 derivation")
 
@@ -439,7 +441,7 @@ def decomposable_witness(
             continue
         rel = DecompositionRelation(degree=m, terms=terms)
         if not rel.total().is_zero:
-            raise AssertionError("witness relation does not sum to zero")
+            raise InternalCheckFailed("witness relation does not sum to zero")
         return rel
     return None
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from poismodp.cli import main
+from poismodp.deriv import Derivation
 
 
 @pytest.fixture
@@ -166,6 +167,52 @@ class TestLoz:
         assert code == 2
         assert "cap is 5" in capsys.readouterr().err
 
+    def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
+        # at degree 2 the search takes the eigenspace scan (p^3 = 125
+        # derivation candidates against 3906 projective quadrics), whose
+        # answers are re-verified with is_poisson_normal
+        path = tmp_path / "skew3_p5.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 5,
+            "bracket": {"kind": "skew",
+                        "matrix": [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]},
+        }))
+        monkeypatch.setattr("poismodp.loz.is_poisson_normal", lambda s, f: False)
+        code = main(["loz", "--algebra", str(path), "--normal-degree", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: eigenspace scan produced a non-normal element")
+        assert "Traceback" not in err
+
+
+class TestNoClosure:
+    """`survey` and `loz` without `--predicates` read only the basis and
+    the order of a log-ozone group, so they never sum its elements."""
+
+    @pytest.fixture
+    def adds(self, monkeypatch):
+        calls = []
+        add = Derivation.__add__
+
+        def counting(self, other):
+            calls.append(other)
+            return add(self, other)
+
+        monkeypatch.setattr(Derivation, "__add__", counting)
+        return calls
+
+    def test_survey(self, capsys, adds):
+        assert main(["survey", "--p", "3", "--n", "2"]) == 0
+        assert len(adds) == 0
+
+    def test_loz(self, capsys, adds, circulant_p3):
+        argv = ["loz", "--algebra", circulant_p3, "--normal-degree", "1",
+                "--max-degree", "3"]
+        assert main(argv) == 0
+        assert len(adds) == 0
+        assert main(argv + ["--predicates"]) == 0
+        assert len(adds) > 0
+
 
 class TestCatalog:
     def test_emit_form(self, capsys):
@@ -231,14 +278,6 @@ class TestSurvey:
         assert data["summary"]["gorenstein"] == 15
         assert data["problems"] == []
 
-    def test_threads_byte_stable(self, capsys):
-        argv = ["survey", "--p", "3", "--n", "2", "--format", "json"]
-        main(argv)
-        serial = capsys.readouterr().out
-        main(argv + ["--threads", "2"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
     def test_cap(self, capsys):
         assert main(
             ["survey", "--p", "13", "--n", "5", "--cap-candidates", "100"]
@@ -262,6 +301,7 @@ class TestFlags:
             ["center", "--algebra", "a.json", "--threads", "2"],
             ["catalog", "--p", "5", "--cap-candidates", "10"],
             ["survey", "--p", "3", "--cap-columns", "10"],
+            ["survey", "--p", "3", "--threads", "2"],
             ["gorenstein", "--algebra", "a.json", "--cap-columns", "10"],
         ],
     )
@@ -271,33 +311,63 @@ class TestFlags:
         assert exc.value.code == 2
 
 
-GOLDEN = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "bench", "golden",
-    "center_oracle.json",
+GOLDEN_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "bench", "golden"
 )
 
 
-def _catalog_golden_jobs():
-    with open(GOLDEN) as fh:
+def _golden_jobs(workload, keep):
+    with open(os.path.join(GOLDEN_DIR, f"{workload}.json")) as fh:
         jobs = json.load(fh)["jobs"]
-    return [pytest.param(k, v, id=k) for k, v in sorted(jobs.items())
-            if k.startswith("catalog/p7/")]
+    return [pytest.param(k, v, id=k) for k, v in sorted(jobs.items()) if keep(k)]
+
+
+def _form_args(job_id):
+    """Catalog flags for a job named after its form, e.g. .../Elliptic-2."""
+    form = job_id.rsplit("/", 1)[1]
+    if form.startswith("Elliptic-"):
+        return ["--form", "Elliptic", "--lam", form.split("-")[1]]
+    return ["--form", form]
+
+
+def _loz_catalog_job(job_id):
+    return (job_id.startswith("loz/p5/") and "/skew3/" not in job_id
+            and job_id != "loz/p5/Cube")
 
 
 class TestGoldenCatalog:
-    """`catalog --verify` at p=7 replayed against the benchmark's recorded
-    answers; SquareLine's exit 1 is the expected answer."""
+    """CLI answers replayed byte for byte against the benchmark's recorded
+    ones: `catalog --verify` at p=7 (SquareLine's exit 1 is the expected
+    answer), `loz --predicates` on the p=5 catalog forms but Cube, and the
+    p=3, n=4 survey."""
 
-    @pytest.mark.parametrize("job_id, expected", _catalog_golden_jobs())
+    @pytest.mark.parametrize(
+        "job_id, expected",
+        _golden_jobs("center_oracle", lambda k: k.startswith("catalog/p7/")),
+    )
     def test_replay(self, capsys, job_id, expected):
-        form = job_id.rsplit("/", 1)[1]
         argv = ["catalog", "--p", "7", "--verify", "--max-degree", "21",
-                "--format", "json"]
-        if form.startswith("Elliptic-"):
-            argv += ["--form", "Elliptic", "--lam", form.split("-")[1]]
-        else:
-            argv += ["--form", form]
+                "--format", "json"] + _form_args(job_id)
         rc = main(argv)
+        assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
+
+    @pytest.mark.parametrize(
+        "job_id, expected", _golden_jobs("loz_search", _loz_catalog_job)
+    )
+    def test_loz_replay(self, capsys, tmp_path, job_id, expected):
+        code, data = run_json(capsys, ["catalog", "--p", "5"] + _form_args(job_id))
+        assert code == 0
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(data["forms"][0]["algebra"]))
+        rc = main(["loz", "--algebra", str(path), "--normal-degree", "3",
+                   "--predicates", "--format", "json"])
+        assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
+
+    @pytest.mark.parametrize(
+        "job_id, expected", _golden_jobs("skew_survey", lambda k: k == "survey/p3/n4")
+    )
+    def test_survey_replay(self, capsys, job_id, expected):
+        rc = main(["survey", "--p", "3", "--n", "4", "--format", "json"])
         assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
 
 

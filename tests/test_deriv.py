@@ -187,6 +187,12 @@ class TestDerivationArithmetic:
         d = Derivation(5, 2, [parse_poly("x1 + 2*x2", 5, 2), parse_poly("3*x1", 5, 2)])
         assert Derivation.from_matrix(5, d.matrix()) == d
 
+    def test_matrix_on_degree_needs_degree_zero(self):
+        z = MultiPoly.zero(5, 3)
+        d = Derivation(5, 3, [parse_poly("x2^2 + x1", 5, 3), z, z])
+        with pytest.raises(ArityMismatch):
+            d.matrix_on_degree(4)
+
     def test_graded_degree_zero_flag(self):
         assert Derivation(5, 2, [parse_poly("x2", 5, 2), MultiPoly.zero(5, 2)]).is_graded_degree_zero()
         assert not Derivation(5, 2, [parse_poly("x2^2", 5, 2), MultiPoly.zero(5, 2)]).is_graded_degree_zero()

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from poismodp.catalog import potential_catalog
 from poismodp.center import center_oracle
-from poismodp.deriv import apply_derivation
+from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
     NotGraded,
     NotNormal,
@@ -233,6 +234,39 @@ class TestGroupLaws:
         b = jordan_plane(p)
         assert log_ozone_group(tensor(a, b), 1).order == p**2 * p
         assert log_ozone_group(tensor(a, trivial_structure(p, 1)), 1).order == p**2
+
+
+SKEW3_P5 = {
+    "cyclic": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+    "rank2": [[0, 2, 0], [-2, 0, 0], [0, 0, 0]],
+    "generic": [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+}
+
+
+def p5_structure(name):
+    if name in SKEW3_P5:
+        return from_skew_matrix(SkewMatrix.from_rows(5, SKEW3_P5[name]))
+    return next(f for f in potential_catalog(5) if f.label == name).structure()
+
+
+class TestLazyGroup:
+    """The group is held as its basis; the elements built on demand agree
+    with the membership test on the basis."""
+
+    @pytest.mark.parametrize(
+        "name", [f.label for f in potential_catalog(5)] + sorted(SKEW3_P5)
+    )
+    def test_elements_agree_with_contains(self, name):
+        s = p5_structure(name)
+        group = log_ozone_group(s, 2)
+        elements = group.elements
+        assert len(elements) == group.order
+        assert all(group.contains(e) for e in elements)
+        eu = euler(s)
+        assert group.contains(eu) == (eu in elements)
+        z = MultiPoly.zero(5, 3)
+        assert not group.contains(Derivation(5, 3, [parse_poly("x2^2 + x1", 5, 3), z, z]))
+        assert not group.contains(Derivation.zero(7, 3))
 
 
 class TestCLoz:

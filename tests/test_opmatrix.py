@@ -108,7 +108,7 @@ class TestDerivationMatrix:
         delta = Derivation.from_matrix(p, mat)
         basis = monomials_of_degree(n, d)
         assert_columns(
-            delta.matrix_on_degree(d, basis), basis, basis,
+            delta.matrix_on_degree(d), basis, basis,
             lambda e: apply_derivation(delta, MultiPoly.monomial(p, n, e)),
         )
         assert np.array_equal(delta.matrix(), np.array(mat, dtype=np.int64))
