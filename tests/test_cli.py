@@ -168,9 +168,9 @@ class TestLoz:
         assert "cap is 5" in capsys.readouterr().err
 
     def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
-        # at degree 2 the search takes the eigenspace scan (p^3 = 125
-        # derivation candidates against 3906 projective quadrics), whose
-        # answers are re-verified with is_poisson_normal
+        # at degree 2 the search takes the eigenspace scan (pruned bound
+        # 3*5^3 = 375 against 3906 projective quadrics), whose answers are
+        # re-verified with is_poisson_normal
         path = tmp_path / "skew3_p5.json"
         path.write_text(json.dumps({
             "schema": 1, "p": 5,
@@ -331,15 +331,27 @@ def _form_args(job_id):
 
 
 def _loz_catalog_job(job_id):
-    return (job_id.startswith("loz/p5/") and "/skew3/" not in job_id
-            and job_id != "loz/p5/Cube")
+    return job_id.startswith("loz/p5/") and "/skew3/" not in job_id
+
+
+# Upper triangles (c12, c13, c23) over F_5 whose 3x3 skew bracket has a
+# 5-dimensional space of degree-0 Poisson derivations, more than n = 3:
+# the eigenspace scan prunes rows there.
+SKEW3_K5 = ("011", "022", "033", "044", "104", "110",
+            "203", "220", "302", "330", "401", "440")
+
+
+def _skew3_algebra(digits):
+    c12, c13, c23 = map(int, digits)
+    rows = [[0, c12, c13], [-c12 % 5, 0, c23], [-c13 % 5, -c23 % 5, 0]]
+    return {"schema": 1, "p": 5, "bracket": {"kind": "skew", "matrix": rows}}
 
 
 class TestGoldenCatalog:
     """CLI answers replayed byte for byte against the benchmark's recorded
     ones: `catalog --verify` at p=7 (SquareLine's exit 1 is the expected
-    answer), `loz --predicates` on the p=5 catalog forms but Cube, and the
-    p=3, n=4 survey."""
+    answer), `loz --predicates` on the p=5 catalog forms and on the 3x3
+    skew brackets of SKEW3_K5, and the p=3, n=4 survey."""
 
     @pytest.mark.parametrize(
         "job_id, expected",
@@ -359,6 +371,17 @@ class TestGoldenCatalog:
         assert code == 0
         path = tmp_path / "form.json"
         path.write_text(json.dumps(data["forms"][0]["algebra"]))
+        rc = main(["loz", "--algebra", str(path), "--normal-degree", "3",
+                   "--predicates", "--format", "json"])
+        assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
+
+    @pytest.mark.parametrize(
+        "job_id, expected",
+        _golden_jobs("loz_search", lambda k: k in {f"loz/p5/skew3/{u}" for u in SKEW3_K5}),
+    )
+    def test_loz_skew_replay(self, capsys, tmp_path, job_id, expected):
+        path = tmp_path / "skew3.json"
+        path.write_text(json.dumps(_skew3_algebra(job_id.rsplit("/", 1)[1])))
         rc = main(["loz", "--algebra", str(path), "--normal-degree", "3",
                    "--predicates", "--format", "json"])
         assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])

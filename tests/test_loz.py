@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poismodp import linalg
 from poismodp.catalog import potential_catalog
 from poismodp.center import center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
@@ -11,7 +14,7 @@ from poismodp.errors import (
     SearchSpaceTooLarge,
     ZeroElement,
 )
-from poismodp.fieldpoly import MultiPoly, format_poly, parse_poly
+from poismodp.fieldpoly import MultiPoly, format_poly, monomials_of_degree, parse_poly
 from poismodp.loz import (
     _scan_direct,
     _scan_eigenspaces,
@@ -42,6 +45,25 @@ def jordan_plane(p):
 
 def two_lines(p):
     return from_potential(parse_poly("x1^2*x2 + x1*x2^2", p, 3))
+
+
+def cube(p):
+    return from_potential(parse_poly("x1^3", p, 3))
+
+
+def skew_0cc(p, c):
+    """{x1, x2} = 0, {x1, x3} = c x1 x3 and {x2, x3} = c x2 x3."""
+    return from_skew_matrix(SkewMatrix.from_rows(p, [[0, 0, c], [0, 0, c], [-c, -c, 0]]))
+
+
+def assert_paths_agree(s, degrees):
+    """The direct candidate scan and the eigenspace scan find the same
+    (element, derivation) pairs at each degree."""
+    pder0 = pder0_matrix_space(s)
+    for d in degrees:
+        direct = {(f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, 10**7)}
+        eig = {(f.key(), dd.key()) for f, dd in _scan_eigenspaces(s, d, pder0, 10**7)}
+        assert direct == eig, d
 
 
 class TestNormality:
@@ -114,26 +136,56 @@ class TestEnumerate:
         assert {format_poly(f) for f, _ in pairs} == {"x1"}
 
     def test_cube_only_central(self):
-        s = from_potential(parse_poly("x1^3", 5, 3))
-        pairs = enumerate_normal(s, 2)
-        assert all(d.is_zero() for _, d in pairs)
-        assert {format_poly(f) for f, _ in pairs} == {"x1", "x1^2"}
+        # at p=7, degree 3 takes the eigenspace scan over 7^6 candidates
+        for p, dmax in ((5, 2), (7, 3)):
+            pairs = enumerate_normal(cube(p), dmax)
+            assert all(d.is_zero() for _, d in pairs)
+            assert {format_poly(f) for f, _ in pairs} == set(["x1", "x1^2", "x1^3"][:dmax])
+
+    def test_cube_row_filter_work(self, monkeypatch):
+        # one kernel per distinct row value of the 5^6 candidate
+        # derivations, then one per survivor; an unpruned scan takes one
+        # per candidate (15 626 nullspaces in all)
+        calls = []
+        nullspace = linalg.nullspace
+        monkeypatch.setattr(
+            linalg, "nullspace", lambda a, p: calls.append(1) or nullspace(a, p)
+        )
+        assert len(enumerate_normal(cube(5), 3)) == 3
+        assert len(calls) <= 600
 
     def test_paths_agree(self):
         # degree 3 at p=5 means 2.4M direct candidates; cross-validate the
-        # cheap degrees at p=5 and the full depth at p=3 instead
-        for p, degrees in ((5, (1, 2)), (3, (1, 2, 3))):
-            s = two_lines(p)
-            pder0 = pder0_matrix_space(s)
-            for d in degrees:
-                direct = {
-                    (f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, 10**7)
-                }
-                eig = {
-                    (f.key(), dd.key())
-                    for f, dd in _scan_eigenspaces(s, d, pder0, 10**7)
-                }
-                assert direct == eig
+        # cheap degrees at p=5 and the full depth at p=3 instead.  The cube
+        # and the skew bracket have more degree-0 Poisson derivations than
+        # variables (k > n); at p=3 the cube's bracket is zero (k = 9), and
+        # skew (0, 3, 3) would be too, so the skew case takes (0, 1, 1).
+        for p, degrees, c in ((5, (1, 2), 3), (3, (1, 2, 3), 1)):
+            for s in (two_lines(p), cube(p), skew_0cc(p, c)):
+                assert_paths_agree(s, degrees)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.data())
+    def test_paths_agree_on_random_potentials(self, data):
+        # one degree per example keeps the direct scans (29 524 candidates
+        # at p=3, degree 3) within the suite's time
+        p = data.draw(st.sampled_from([3, 5]))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+        omega = MultiPoly(p, 3, dict(zip(monomials_of_degree(3, 3), coeffs)))
+        d = data.draw(st.integers(1, 3 if p == 3 else 2))
+        assert_paths_agree(from_potential(omega), (d,))
+
+    def test_zero_bracket_keeps_direct_scan(self, monkeypatch):
+        # k = 9 derivation candidates per degree: at p=7 the 7^9 exceed the
+        # cap, and at p=5 the row filter's pass over 5^9 costs more than
+        # the 3906 direct tests of degree 2
+        def refuse(*args):
+            raise AssertionError("eigenspace scan chosen")
+
+        monkeypatch.setattr("poismodp.loz._scan_eigenspaces", refuse)
+        for p in (5, 7):
+            pairs = enumerate_normal(trivial_structure(p, 3), 2)
+            assert len(pairs) == (p**3 - 1) // (p - 1) + (p**6 - 1) // (p - 1)
 
     def test_search_cap(self):
         s = two_lines(5)
