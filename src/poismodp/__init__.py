@@ -40,6 +40,7 @@ from .fieldpoly import (
     parse_poly,
     squarefree,
 )
+from .errors import Limits
 from .loz import (
     LozGroup,
     c_loz,

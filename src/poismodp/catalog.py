@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .center import COLUMN_CAP, center_oracle, graded_span_dims, is_central
+from .center import center_oracle, graded_span_dims, is_central
 from .deriv import (
     Derivation,
     apply_derivation,
@@ -22,6 +22,7 @@ from .deriv import (
 from .errors import (
     AlreadyUnimodular,
     InternalCheckFailed,
+    Limits,
     NotGraded,
     NotPoissonDerivation,
     PoisError,
@@ -148,7 +149,7 @@ def catalog_form(p: int, form_id: str, lam: Optional[int] = None) -> PotentialFo
 
 
 def verify_expected_center(
-    form: PotentialForm, max_degree: int, column_cap: int = COLUMN_CAP
+    form: PotentialForm, max_degree: int, limits: Limits = Limits()
 ) -> bool:
     """Oracle Hilbert function vs the subalgebra generated by the
     expected center generators, degree by degree up to max_degree."""
@@ -156,7 +157,7 @@ def verify_expected_center(
     for g in form.expected_center_gens:
         if not is_central(struct, g):
             return False
-    oracle = center_oracle(struct, max_degree, column_cap)
+    oracle = center_oracle(struct, max_degree, limits)
     dims, _ = graded_span_dims(
         form.p, 3, list(form.expected_center_gens), max_degree
     )

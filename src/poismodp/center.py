@@ -15,9 +15,8 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CapExceeded,
-    DegreeBoundTooLarge,
     InternalCheckFailed,
+    Limits,
     PoisError,
     SmallCharacteristic,
     WrongArity,
@@ -25,12 +24,6 @@ from .errors import (
 from .fieldpoly import MultiPoly, monomials_of_degree, monomials_upto_degree
 from .linalg import coeff_matrix, derivation_matrix, vec_to_poly
 from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
-
-#: Guard on materializing kernel translates.
-KERNEL_CAP = 10**6
-#: Guard on oracle matrix columns.
-COLUMN_CAP = 5000
-
 
 # ---------------------------------------------------------------------
 # Operator matrices on graded pieces
@@ -126,15 +119,12 @@ class MonoidData:
 # ---------------------------------------------------------------------
 
 
-def skew_monoid(c: SkewMatrix, kernel_cap: int = KERNEL_CAP) -> MonoidData:
+def skew_monoid(c: SkewMatrix, limits: Limits = Limits()) -> MonoidData:
     """Kernel of c over F_p, box representatives, and the I/J index split."""
     p, n = c.p, c.n
     mat = np.array(c.entries, dtype=np.int64) % p
     kern = linalg.nullspace(mat, p)
-    if p ** len(kern) > kernel_cap:
-        raise CapExceeded(
-            f"kernel has {p ** len(kern)} vectors, cap is {kernel_cap}"
-        )
+    limits.check("kernel", p ** len(kern), "kernel vectors")
     box = set()
     for coeffs in itertools.product(range(p), repeat=len(kern)):
         v = np.zeros(n, dtype=np.int64)
@@ -348,10 +338,24 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
     return all(struct.bracket_with_gen(i, f).is_zero for i in range(struct.n))
 
 
+def graded_kernel(p: int, n: int, max_degree: int, operators, limits: Limits):
+    """Hilbert function and graded basis of the joint kernel of the maps
+    `operators(d)` on A_d, degree by degree up to max_degree; with no
+    maps, the kernel is all of A_d."""
+    hilbert = []
+    graded_basis: dict[int, list[MultiPoly]] = {}
+    for d in range(max_degree + 1):
+        src = monomials_of_degree(n, d)
+        limits.check("columns", len(src), f"columns at degree {d}")
+        empty = np.zeros((0, len(src)), dtype=np.int64)
+        kernel = linalg.nullspace(np.vstack([empty, *operators(d)]), p)
+        graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
+        hilbert.append(len(kernel))
+    return hilbert, graded_basis
+
+
 def center_oracle(
-    struct: PoissonStructure,
-    max_degree: int,
-    column_cap: int = COLUMN_CAP,
+    struct: PoissonStructure, max_degree: int, limits: Limits = Limits()
 ) -> CenterReport:
     """Degree-by-degree nullspace computation of the Poisson center.
 
@@ -360,34 +364,16 @@ def center_oracle(
     <= max_degree is solved at once and per-degree entries report the
     dimensions of the filtration steps.
     """
-    if struct.graded:
-        return _center_oracle_graded(struct, max_degree, column_cap)
-    return _center_oracle_filtered(struct, max_degree, column_cap)
-
-
-def _center_oracle_graded(struct, max_degree, column_cap) -> CenterReport:
+    if not struct.graded:
+        return _center_oracle_filtered(struct, max_degree, limits)
     p, n = struct.p, struct.n
-    hilbert = []
-    graded_basis: dict[int, list[MultiPoly]] = {}
-    for d in range(max_degree + 1):
-        src = monomials_of_degree(n, d)
-        if len(src) > column_cap:
-            raise DegreeBoundTooLarge(
-                f"degree {d} needs {len(src)} columns, cap is {column_cap}"
-            )
-        if d == 0:
-            hilbert.append(1)
-            graded_basis[0] = [MultiPoly.const(p, n, 1)]
-            continue
-        stacked = np.vstack(bracket_matrices(struct, d))
-        kernel = linalg.nullspace(stacked, p)
-        graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
-        hilbert.append(len(kernel))
-    generators = [f for d in range(1, max_degree + 1) for f in graded_basis[d]]
+    hilbert, graded_basis = graded_kernel(
+        p, n, max_degree, lambda d: bracket_matrices(struct, d), limits
+    )
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
         engine="oracle",
-        generators=generators,
+        generators=[f for d in range(1, max_degree + 1) for f in graded_basis[d]],
         hilbert=hilbert,
         graded_basis=graded_basis,
         numerator=numer,
@@ -396,13 +382,10 @@ def _center_oracle_graded(struct, max_degree, column_cap) -> CenterReport:
     )
 
 
-def _center_oracle_filtered(struct, max_degree, column_cap) -> CenterReport:
+def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
     p, n = struct.p, struct.n
     src = monomials_upto_degree(n, max_degree)
-    if len(src) > column_cap:
-        raise DegreeBoundTooLarge(
-            f"filtration needs {len(src)} columns, cap is {column_cap}"
-        )
+    limits.check("columns", len(src), "filtration columns")
     hmax = max((h.degree() for h in struct.table.values()), default=0)
     tgt = monomials_upto_degree(n, max_degree + max(hmax - 1, 0))
     kernel = linalg.nullspace(np.vstack(_ad_matrices(struct, src, tgt)), p)

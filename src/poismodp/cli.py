@@ -12,11 +12,11 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import fields
 
 from . import fixtures
 from .catalog import FORM_IDS, catalog_form, potential_catalog, verify_expected_center
 from .center import (
-    COLUMN_CAP,
     CenterReport,
     center_generators_skew,
     center_oracle,
@@ -27,16 +27,9 @@ from .center import (
     skew_monoid,
 )
 from .deriv import is_unimodular
-from .errors import (
-    CapExceeded,
-    InternalCheckFailed,
-    ParseError,
-    PoisError,
-    require_prime,
-)
-from .fieldpoly import format_poly
+from .errors import InternalCheckFailed, Limits, ParseError, PoisError, require_prime
+from .fieldpoly import DEGREE_CAP, format_poly
 from .loz import (
-    CANDIDATE_CAP,
     c_loz,
     decomposable_witness,
     is_inferable,
@@ -49,9 +42,10 @@ from .structure import SkewMatrix, from_skew_matrix
 SCHEMA = 1
 
 # Options given only to the commands that read them; --format goes to all.
+# Each cap's dest is the Limits field it sets.
 _OPTIONS = {
-    "--cap-columns": dict(type=int, default=COLUMN_CAP),
-    "--cap-candidates": dict(type=int, default=CANDIDATE_CAP),
+    "--cap-columns": dict(dest="columns", type=int, default=Limits.columns),
+    "--cap-candidates": dict(dest="candidates", type=int, default=Limits.candidates),
 }
 
 
@@ -162,15 +156,30 @@ def _skew_matrix_of(struct) -> SkewMatrix:
     return struct.provenance.matrix
 
 
+def _max_degree(args, default: int) -> tuple[int, tuple[str, ...]]:
+    """`--max-degree` if given, else `default` kept below the term degree
+    cap (brackets raise degree by one), with a note when it was lowered."""
+    if args.max_degree is not None:
+        return args.max_degree, ()
+    if default < DEGREE_CAP:
+        return default, ()
+    return DEGREE_CAP - 1, (
+        f"default max degree {default} lowered to {DEGREE_CAP - 1}: "
+        f"term degrees are capped at {DEGREE_CAP}",
+    )
+
+
 def cmd_center(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
-    max_degree = args.max_degree if args.max_degree is not None else 3 * struct.p
+    max_degree, notes = _max_degree(args, 3 * struct.p)
     reports = {}
     if args.engine in ("monoid", "both"):
-        m = skew_monoid(_skew_matrix_of(struct))
+        m = skew_monoid(_skew_matrix_of(struct), args.limits)
         reports["monoid"] = center_generators_skew(m, max_degree)
     if args.engine in ("oracle", "both"):
-        reports["oracle"] = center_oracle(struct, max_degree, args.cap_columns)
+        reports["oracle"] = center_oracle(struct, max_degree, args.limits)
+    for report in reports.values():
+        report.notes += notes
     if args.engine == "both":
         agree = reports["monoid"].hilbert == reports["oracle"].hilbert
         payload = {
@@ -259,9 +268,10 @@ def cmd_classify(args) -> int:
 
 def cmd_loz(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
-    max_degree = args.max_degree if args.max_degree is not None else 2 * struct.p
-    group = log_ozone_group(struct, args.normal_degree, args.cap_candidates)
-    kernel = c_loz(struct, group, max_degree)
+    max_degree, notes = _max_degree(args, 2 * struct.p)
+    group = log_ozone_group(struct, args.normal_degree, args.limits)
+    kernel = c_loz(struct, group, max_degree, args.limits)
+    notes = group.notes + notes
     payload = {
         "schema": SCHEMA,
         "order": group.order,
@@ -271,7 +281,7 @@ def cmd_loz(args) -> int:
             for d, f in group.basis
         ],
         "c_loz_hilbert": kernel.hilbert,
-        "notes": list(group.notes),
+        "notes": list(notes),
     }
     lines = [f"order: {group.order} (search bound {group.search_bound})"]
     for d, f in group.basis:
@@ -283,8 +293,7 @@ def cmd_loz(args) -> int:
     if args.predicates:
         inferable = is_inferable(struct, group)
         quasi = is_quasi_inferable(struct, group)
-        center = center_oracle(struct, max_degree, args.cap_columns)
-        witness = decomposable_witness(struct, group, max_degree, center)
+        witness = decomposable_witness(struct, group, max_degree, args.limits)
         payload["inferable"] = inferable
         payload["quasi_inferable"] = quasi
         payload["decomposable_witness"] = (
@@ -305,7 +314,7 @@ def cmd_loz(args) -> int:
                " + ".join(f"({format_poly(z)})*({format_poly(f)})"
                           for z, _, f in witness.terms) + " = 0")
         )
-    for note in group.notes:
+    for note in notes:
         lines.append(f"note: {note}")
     _emit(args, payload, lines)
     return 0
@@ -334,7 +343,7 @@ def cmd_catalog(args) -> int:
         }
         line = f"{form.label}: omega = {format_poly(form.omega)}"
         if args.verify:
-            ok = verify_expected_center(form, args.max_degree, args.cap_columns)
+            ok = verify_expected_center(form, args.max_degree, args.limits)
             entry["center_verified"] = ok
             line += f"  center_verified={ok}"
             if not ok:
@@ -345,14 +354,14 @@ def cmd_catalog(args) -> int:
     return status
 
 
-def _survey_row(p: int, n: int, upper, cap: int) -> dict:
+def _survey_row(p: int, n: int, upper, limits: Limits) -> dict:
     c = _matrix_from_upper(p, n, upper)
-    m = skew_monoid(c)
+    m = skew_monoid(c, limits)
     struct = from_skew_matrix(c)
     gor, _ = gorenstein_skew(m)
     thm38 = gorenstein_via_theorem38(m)
     uni = is_unimodular(struct)
-    order = log_ozone_group(struct, 1, cap).order
+    order = log_ozone_group(struct, 1, limits).order
     label = classify_skew3(c) if (n == 3 and p > 3) else None
     beta = find_beta(m)
     return {
@@ -372,11 +381,8 @@ def cmd_survey(args) -> int:
     require_prime(args.p)
     p, n = args.p, args.n
     total = p ** (n * (n - 1) // 2)
-    if total > args.cap_candidates:
-        raise CapExceeded(f"survey of {total} matrices exceeds the candidate cap")
-    ordered = [
-        _survey_row(p, n, upper, args.cap_candidates) for upper in _upper_tuples(p, n)
-    ]
+    args.limits.check("candidates", total, "matrices in the survey")
+    ordered = [_survey_row(p, n, upper, args.limits) for upper in _upper_tuples(p, n)]
     problems = []
     for row in ordered:
         if row["unimodular"] and not row["gorenstein"]:
@@ -456,6 +462,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    caps = {f.name for f in fields(Limits)}
+    args.limits = Limits(**{k: v for k, v in vars(args).items() if k in caps})
     try:
         return _DISPATCH[args.command](args)
     except InternalCheckFailed as exc:

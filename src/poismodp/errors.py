@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the engines' size limits."""
+
+from dataclasses import dataclass
 
 
 class PoisError(Exception):
@@ -97,8 +99,32 @@ class CapExceeded(PoisError):
     pass
 
 
+class ModulusTooLarge(PoisError):
+    """The modulus is too large for exact int64 arithmetic."""
+
+
 class InternalCheckFailed(PoisError):
     """A self-check on a computed answer failed: a bug, not a bad input."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """How far the bounded engines may go: matrix columns per solve,
+    candidates per search, and vectors in a materialized kernel."""
+
+    columns: int = 5000
+    candidates: int = 10**7
+    kernel: int = 10**6
+
+    def check(self, field: str, count: int, what: str) -> None:
+        """Raise the field's error if count exceeds its limit."""
+        limit = getattr(self, field)
+        if count > limit:
+            raise _LIMIT_ERRORS[field](f"{count} {what}, cap is {limit}")
+
+
+_LIMIT_ERRORS = {"columns": DegreeBoundTooLarge, "candidates": SearchSpaceTooLarge,
+                 "kernel": CapExceeded}
 
 
 def require_prime(p):

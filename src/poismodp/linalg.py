@@ -160,8 +160,8 @@ def in_row_space(a: np.ndarray, v: np.ndarray, p: int) -> bool:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 is exact here: entries < p <= 13 and inner dimensions stay
-    # far below 2**63 / p**2.
+    # int64 is exact for n x n factors: PoissonStructure keeps
+    # n^2 (p-1)^2 below 2^63.
     return (a % p) @ (b % p) % p
 
 

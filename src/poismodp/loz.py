@@ -23,6 +23,7 @@ from .center import (
     CenterReport,
     bracket_matrices,
     center_oracle,
+    graded_kernel,
     multiplication_matrices,
     rank_over_subring,
     skew_monoid,
@@ -31,10 +32,10 @@ from .deriv import Derivation
 from .errors import (
     DegreeOverflow,
     InternalCheckFailed,
+    Limits,
     NotGraded,
     NotGradedDegreeZero,
     NotNormal,
-    SearchSpaceTooLarge,
     ZeroElement,
 )
 from .fieldpoly import (
@@ -48,8 +49,17 @@ from .fieldpoly import (
 from .linalg import coeff_matrix, vec_to_poly
 from .structure import PoissonStructure
 
-#: Guard on the number of candidates any search path may enumerate.
-CANDIDATE_CAP = 10**7
+
+def _log_images(struct: PoissonStructure, f: MultiPoly) -> Optional[list[MultiPoly]]:
+    """The quotients {x_i, f} / f, or None if f does not divide them all."""
+    images = []
+    for i in range(struct.n):
+        g = struct.bracket_with_gen(i, f)
+        q = MultiPoly.zero(struct.p, struct.n) if g.is_zero else divides(f, g)
+        if q is None:
+            return None
+        images.append(q)
+    return images
 
 
 def is_poisson_normal(struct: PoissonStructure, f: MultiPoly) -> bool:
@@ -60,27 +70,16 @@ def is_poisson_normal(struct: PoissonStructure, f: MultiPoly) -> bool:
     """
     if f.is_zero:
         raise ZeroElement("normality is defined for nonzero elements")
-    for i in range(struct.n):
-        g = struct.bracket_with_gen(i, f)
-        if not g.is_zero and divides(f, g) is None:
-            return False
-    return True
+    return _log_images(struct, f) is not None
 
 
 def log_ozone_derivation(struct: PoissonStructure, f: MultiPoly) -> Derivation:
     """The derivation a |-> {a, f} / f attached to a normal element."""
     if f.is_zero:
         raise ZeroElement("the zero element has no log-ozone derivation")
-    images = []
-    for i in range(struct.n):
-        g = struct.bracket_with_gen(i, f)
-        if g.is_zero:
-            images.append(MultiPoly.zero(struct.p, struct.n))
-            continue
-        q = divides(f, g)
-        if q is None:
-            raise NotNormal(f"{f} is not Poisson normal: x_{i + 1} fails")
-        images.append(q)
+    images = _log_images(struct, f)
+    if images is None:
+        raise NotNormal(f"{f} is not Poisson normal")
     return Derivation(struct.p, struct.n, images)
 
 
@@ -118,23 +117,21 @@ def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
     return [v.reshape(n, n) for v in linalg.nullspace(np.vstack(blocks), p)]
 
 
-def _scan_direct(struct, d, homogeneous, cap):
+def _scan_direct(struct, d, homogeneous, limits):
     p, n = struct.p, struct.n
     basis = (
         monomials_of_degree(n, d) if homogeneous else monomials_upto_degree(n, d)
     )
-    count = (p ** len(basis) - 1) // (p - 1) if p > 1 else 0
-    if count > cap:
-        raise SearchSpaceTooLarge(
-            f"{count} candidates at degree {d}, cap is {cap}"
-        )
+    count = (p ** len(basis) - 1) // (p - 1)
+    limits.check("candidates", count, f"candidates at degree {d}")
     found = []
     for coeffs in iter_projective_vectors(p, len(basis)):
         f = MultiPoly(p, n, {e: c for e, c in zip(basis, coeffs) if c})
         if not homogeneous and f.is_constant():
             continue
-        if is_poisson_normal(struct, f):
-            found.append((f.monic(), log_ozone_derivation(struct, f)))
+        images = _log_images(struct, f)
+        if images is not None:
+            found.append((f.monic(), Derivation(p, n, images)))
     return found
 
 
@@ -143,7 +140,7 @@ def _block(bracket, mults, row, p):
     return (bracket - np.tensordot(row, mults, 1)) % p
 
 
-def _scan_eigenspaces(struct, d, pder0, cap):
+def _scan_eigenspaces(struct, d, pder0, limits):
     """Union over candidate degree-0 derivations delta of the solution
     spaces of {x_i, f} = delta(x_i) f on the degree-d component.
 
@@ -154,14 +151,13 @@ def _scan_eigenspaces(struct, d, pder0, cap):
 
     Block i depends only on row i of delta's matrix, so its kernel is
     taken once per row value; a zero block kernel rules delta out, and
-    only the remaining candidates get the full solve.
+    only the remaining candidates get the full solve.  The monic
+    elements of the survivors' kernels count against the candidate limit
+    before any is built.
     """
     p, n = struct.p, struct.n
     k = len(pder0)
-    if p**k > cap:
-        raise SearchSpaceTooLarge(
-            f"{p ** k} derivation candidates at degree {d}, cap is {cap}"
-        )
+    limits.check("candidates", p**k, f"derivation candidates at degree {d}")
     src = monomials_of_degree(n, d)
     brackets = bracket_matrices(struct, d)
     mults = np.stack(multiplication_matrices(p, n, d))
@@ -179,12 +175,15 @@ def _scan_eigenspaces(struct, d, pder0, cap):
                 if not linalg.nullspace(_block(brackets[i], mults, row, p), p)]
         alive &= ~np.isin(inverse, dead)
     found = []
+    elements = 0
     for g in np.flatnonzero(alive):
         D = np.tensordot(grid[g], basis, 1) % p
         blocks = [_block(b, mults, row, p) for b, row in zip(brackets, D)]
         kernel = linalg.nullspace(np.vstack(blocks), p)
         if not kernel:
             continue
+        elements += (p ** len(kernel) - 1) // (p - 1)
+        limits.check("candidates", elements, f"normal elements at degree {d}")
         delta = Derivation.from_matrix(p, D)
         kmat = np.stack(kernel)
         for combo in iter_projective_vectors(p, len(kernel)):
@@ -197,7 +196,7 @@ def _scan_eigenspaces(struct, d, pder0, cap):
 
 
 def enumerate_normal(
-    struct: PoissonStructure, dmax: int, cap: int = CANDIDATE_CAP
+    struct: PoissonStructure, dmax: int, limits: Limits = Limits()
 ) -> list[tuple[MultiPoly, Derivation]]:
     """All monic normal elements up to total degree dmax with their
     log-ozone derivations, in a deterministic order.
@@ -215,10 +214,10 @@ def enumerate_normal(
             direct_cost = (p**n_monos - 1) // (p - 1)
             # per candidate, the row filter costs about 1/100 of a direct test
             eig_cost = struct.n * p ** min(len(pder0), struct.n) + p**len(pder0) // 100
-            if direct_cost <= eig_cost or p ** len(pder0) > cap:
-                batch = _scan_direct(struct, d, True, cap)
+            if direct_cost <= eig_cost or p ** len(pder0) > limits.candidates:
+                batch = _scan_direct(struct, d, True, limits)
             else:
-                batch = _scan_eigenspaces(struct, d, pder0, cap)
+                batch = _scan_eigenspaces(struct, d, pder0, limits)
                 for f, delta in batch:
                     if not is_poisson_normal(struct, f):
                         raise InternalCheckFailed(
@@ -226,7 +225,7 @@ def enumerate_normal(
                         )
             found.extend(batch)
     else:
-        found.extend(_scan_direct(struct, dmax, False, cap))
+        found.extend(_scan_direct(struct, dmax, False, limits))
     found.sort(key=lambda pair: pair[0].sort_key())
     return found
 
@@ -293,7 +292,7 @@ class LozGroup:
 
 
 def log_ozone_group(
-    struct: PoissonStructure, dmax: int, cap: int = CANDIDATE_CAP
+    struct: PoissonStructure, dmax: int, limits: Limits = Limits()
 ) -> LozGroup:
     """Group generated by the derivations of all normal elements of
     degree <= dmax.  Sums are realized by products of normal elements,
@@ -301,7 +300,7 @@ def log_ozone_group(
     if not struct.graded:
         raise NotGraded("the log-ozone group search requires a graded structure")
     p, n = struct.p, struct.n
-    pairs = enumerate_normal(struct, dmax, cap)
+    pairs = enumerate_normal(struct, dmax, limits)
 
     basis: list[tuple[Derivation, MultiPoly]] = []
     span = np.zeros((0, n * n), dtype=np.int64)
@@ -324,26 +323,15 @@ def log_ozone_group(
 
 
 def c_loz(
-    struct: PoissonStructure, group: LozGroup, max_degree: int
+    struct: PoissonStructure, group: LozGroup, max_degree: int, limits: Limits = Limits()
 ) -> CenterReport:
     """Degreewise basis of the joint kernel of every derivation in the
     group; contains the Poisson center degreewise."""
-    p, n = struct.p, struct.n
-    gens = [delta for delta, _ in group.basis]
-    hilbert = []
-    graded_basis: dict[int, list[MultiPoly]] = {}
-    for d in range(max_degree + 1):
-        src = monomials_of_degree(n, d)
-        if not gens:
-            graded_basis[d] = [
-                MultiPoly.monomial(p, n, e) for e in src
-            ]
-            hilbert.append(len(src))
-            continue
-        blocks = [delta.matrix_on_degree(d) for delta in gens]
-        kernel = linalg.nullspace(np.vstack(blocks), p)
-        graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
-        hilbert.append(len(kernel))
+    hilbert, graded_basis = graded_kernel(
+        struct.p, struct.n, max_degree,
+        lambda d: [delta.matrix_on_degree(d) for delta, _ in group.basis],
+        limits,
+    )
     return CenterReport(
         engine="loz-kernel",
         generators=[f for d in range(1, max_degree + 1) for f in graded_basis[d]],
@@ -408,7 +396,7 @@ def decomposable_witness(
     struct: PoissonStructure,
     group: LozGroup,
     max_degree: int,
-    center: Optional[CenterReport] = None,
+    limits: Limits = Limits(),
 ) -> Optional[DecompositionRelation]:
     """Bounded search for a witness against loz-decomposability.
 
@@ -417,8 +405,7 @@ def decomposable_witness(
     representatives up to max_degree.
     """
     p, n = struct.p, struct.n
-    if center is None:
-        center = center_oracle(struct, max_degree)
+    center = center_oracle(struct, max_degree, limits)
     blocks = []
     for delta in group.elements:
         f = group.representative(delta)
@@ -476,15 +463,15 @@ class MaximalOrderReport:
 
 
 def theorem212_check(
-    struct: PoissonStructure, dmax: int, max_degree: int
+    struct: PoissonStructure, dmax: int, max_degree: int, limits: Limits = Limits()
 ) -> MaximalOrderReport:
     """Measure |loz| (bounded), inferability, and rk_Z(P); for skew
     provenance additionally confirm the expected equivalence."""
-    group = log_ozone_group(struct, dmax)
+    group = log_ozone_group(struct, dmax, limits)
     inferable = is_inferable(struct, group)
     notes: tuple[str, ...] = group.notes
     if struct.provenance.kind == "skew" and struct.provenance.matrix is not None:
-        m = skew_monoid(struct.provenance.matrix)
+        m = skew_monoid(struct.provenance.matrix, limits)
         rank = Fraction(struct.p**struct.n, len(m.B))
         conditions = group.order == rank and inferable
         return MaximalOrderReport(
@@ -496,7 +483,7 @@ def theorem212_check(
             conditions_hold=conditions,
             notes=notes,
         )
-    center = center_oracle(struct, max_degree)
+    center = center_oracle(struct, max_degree, limits)
     if center.graded_basis is None:
         return MaximalOrderReport(
             order=group.order,

@@ -15,6 +15,7 @@ from .errors import (
     ArityMismatch,
     JacobiViolation,
     ModulusMismatch,
+    ModulusTooLarge,
     NotGraded,
     NotSkewSymmetric,
     WrongArity,
@@ -91,6 +92,8 @@ class PoissonStructure:
 
     def __init__(self, p, n, table, provenance=None, check=True):
         require_prime(p)
+        if n * n * (p - 1) ** 2 >= 2**63:  # int64 dot products have <= n^2 terms
+            raise ModulusTooLarge(f"p={p}, n={n}: n^2 (p-1)^2 must be below 2^63")
         self.p = p
         self.n = n
         clean = {}

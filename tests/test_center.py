@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismodp.center import (
     center_generators_skew,
@@ -22,6 +24,7 @@ from poismodp.center import (
 from poismodp.errors import (
     CapExceeded,
     DegreeBoundTooLarge,
+    Limits,
     SmallCharacteristic,
     WrongArity,
 )
@@ -66,7 +69,7 @@ class TestSkewMonoid:
 
     def test_kernel_cap(self):
         with pytest.raises(CapExceeded):
-            skew_monoid(SkewMatrix.from_rows(3, [[0, 0], [0, 0]]), kernel_cap=5)
+            skew_monoid(SkewMatrix.from_rows(3, [[0, 0], [0, 0]]), Limits(kernel=5))
 
 
 class TestGorenstein:
@@ -228,7 +231,21 @@ class TestOracle:
     def test_column_cap(self):
         s = trivial_structure(5, 3)
         with pytest.raises(DegreeBoundTooLarge):
-            center_oracle(s, 10, column_cap=10)
+            center_oracle(s, 10, Limits(columns=10))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.data())
+    def test_monoid_hilbert_on_random_skew_matrices(self, data):
+        # degrees up to p + 2 keep the oracle's 4-variable solves at most
+        # 220 columns wide
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(2, 4))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        upper = data.draw(st.lists(st.integers(0, p - 1), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        c = SkewMatrix.from_upper(p, n, dict(zip(pairs, upper)))
+        monoid = center_generators_skew(skew_monoid(c), p + 2)
+        assert monoid.hilbert == center_oracle(from_skew_matrix(c), p + 2).hilbert
 
     def test_is_central_examples(self):
         p = 5

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from poismodp.cli import main
+from poismodp.cli import build_parser, main
 from poismodp.deriv import Derivation
 
 
@@ -158,8 +159,8 @@ class TestLoz:
         assert code == 2
 
     def test_column_cap_reaches_predicates(self, capsys, circulant_p3):
-        # the decomposability search solves the center up to degree 3;
-        # degree 2 already needs 6 columns
+        # c_loz and the decomposability search's center both solve up to
+        # degree 3; degree 2 already needs 6 columns, so c_loz trips first
         code = main(
             ["loz", "--algebra", circulant_p3, "--normal-degree", "1",
              "--max-degree", "3", "--predicates", "--cap-columns", "5"]
@@ -183,6 +184,38 @@ class TestLoz:
         assert code == 1
         assert err.startswith("error: eigenspace scan produced a non-normal element")
         assert "Traceback" not in err
+
+
+def skew2(tmp_path, p):
+    path = tmp_path / f"skew2_p{p}.json"
+    path.write_text(json.dumps({
+        "schema": 1, "p": p, "bracket": {"kind": "skew", "matrix": [[0, 1], [-1, 0]]},
+    }))
+    return str(path)
+
+
+class TestDefaultDegree:
+    """The default degree bounds (3p for center, 2p for loz) pass the term
+    degree cap 64 from p = 23 and p = 37 on; they are lowered to 63."""
+
+    def test_center_oracle_p23(self, capsys, tmp_path):
+        code, data = run_json(
+            capsys, ["center", "--algebra", skew2(tmp_path, 23), "--engine", "oracle"])
+        assert code == 0
+        assert len(data["hilbert"]) == 64
+        assert "default max degree 69 lowered to 63" in data["notes"][-1]
+
+    def test_loz_p37(self, capsys, tmp_path):
+        code, data = run_json(
+            capsys, ["loz", "--algebra", skew2(tmp_path, 37), "--normal-degree", "1"])
+        assert code == 0
+        assert len(data["c_loz_hilbert"]) == 64
+        assert "default max degree 74 lowered to 63" in data["notes"][-1]
+
+    def test_explicit_degree_not_lowered(self, capsys, tmp_path):
+        assert main(["center", "--algebra", skew2(tmp_path, 23), "--engine", "oracle",
+                     "--max-degree", "69"]) == 2
+        assert "term degree" in capsys.readouterr().err
 
 
 class TestNoClosure:
@@ -294,6 +327,31 @@ class TestSurvey:
 
 
 class TestFlags:
+    def test_option_table(self):
+        # every command's options and their defaults; a new knob has to
+        # be added here
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        table = {
+            name: {a.option_strings[-1]: a.default for a in parser._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, parser in sub.choices.items()
+        }
+        fmt = {"--format": "text"}
+        assert table == {
+            "center": {"--algebra": None, "--max-degree": None, "--engine": "oracle",
+                       **fmt, "--cap-columns": 5000},
+            "gorenstein": {"--algebra": None, "--via": "both", **fmt},
+            "classify-skew3": {"--p": None, "--matrix": None, "--all": False, **fmt},
+            "loz": {"--algebra": None, "--normal-degree": 3, "--max-degree": None,
+                    "--predicates": False, **fmt, "--cap-columns": 5000,
+                    "--cap-candidates": 10**7},
+            "catalog": {"--p": None, "--form": None, "--lam": None, "--verify": False,
+                        "--max-degree": 12, **fmt, "--cap-columns": 5000},
+            "survey": {"--p": None, "--n": 3, **fmt, "--cap-candidates": 10**7},
+            "verify-fixtures": fmt,
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

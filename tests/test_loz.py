@@ -9,6 +9,9 @@ from poismodp.catalog import potential_catalog
 from poismodp.center import center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
+    CapExceeded,
+    DegreeBoundTooLarge,
+    Limits,
     NotGraded,
     NotNormal,
     SearchSpaceTooLarge,
@@ -61,8 +64,8 @@ def assert_paths_agree(s, degrees):
     (element, derivation) pairs at each degree."""
     pder0 = pder0_matrix_space(s)
     for d in degrees:
-        direct = {(f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, 10**7)}
-        eig = {(f.key(), dd.key()) for f, dd in _scan_eigenspaces(s, d, pder0, 10**7)}
+        direct = {(f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, Limits())}
+        eig = {(f.key(), dd.key()) for f, dd in _scan_eigenspaces(s, d, pder0, Limits())}
         assert direct == eig, d
 
 
@@ -190,7 +193,14 @@ class TestEnumerate:
     def test_search_cap(self):
         s = two_lines(5)
         with pytest.raises(SearchSpaceTooLarge):
-            enumerate_normal(s, 3, cap=2)
+            enumerate_normal(s, 3, Limits(candidates=2))
+
+    def test_eigenspace_scan_counts_its_elements(self):
+        # 5^4 = 625 derivation candidates fit the cap, but at degree 5 the
+        # zero derivation's kernel is all of A_5: 3906 monic elements
+        with pytest.raises(SearchSpaceTooLarge,
+                           match="3906 normal elements at degree 5, cap is 1000"):
+            enumerate_normal(trivial_structure(5, 2), 5, Limits(candidates=1000))
 
     def test_delta_consistency(self):
         s = two_lines(5)
@@ -349,6 +359,33 @@ class TestCLoz:
         report = c_loz(s, group, 4)
         assert report.hilbert == [1, 2, 3, 4, 5]
 
+    def test_column_cap(self):
+        s = two_lines(5)
+        group = log_ozone_group(s, 1)
+        with pytest.raises(DegreeBoundTooLarge, match="6 columns at degree 2, cap is 5"):
+            c_loz(s, group, 3, Limits(columns=5))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.data())
+    def test_contains_center_on_random_structures(self, data):
+        # skew brackets on 2 or 3 variables, or cubic potentials
+        p = data.draw(st.sampled_from([3, 5]))
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(2, 3))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            upper = data.draw(st.lists(st.integers(0, p - 1), min_size=len(pairs),
+                                       max_size=len(pairs)))
+            s = from_skew_matrix(SkewMatrix.from_upper(p, n, dict(zip(pairs, upper))))
+        else:
+            coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+            s = from_potential(MultiPoly(p, 3, dict(zip(monomials_of_degree(3, 3), coeffs))))
+        kernel = c_loz(s, log_ozone_group(s, 1), p + 1)
+        center = center_oracle(s, p + 1)
+        for d, basis in center.graded_basis.items():
+            span = kernel.graded_basis[d]
+            both = linalg.coeff_matrix(span + basis, monomials_of_degree(s.n, d))
+            assert linalg.rank(both, p) == len(span), d
+
 
 class TestPredicates:
     def test_three_lines_inferable(self):
@@ -411,6 +448,13 @@ class TestWitness:
         g = log_ozone_group(s, 2)
         assert decomposable_witness(s, g, 10) is None
 
+    def test_center_column_cap(self):
+        # the witness search solves the center itself, under the caps given
+        s = two_lines(5)
+        g = log_ozone_group(s, 1)
+        with pytest.raises(DegreeBoundTooLarge, match="6 columns at degree 2, cap is 5"):
+            decomposable_witness(s, g, 3, Limits(columns=5))
+
 
 class TestMaximalOrderReport:
     def test_two_var_skew(self):
@@ -437,6 +481,16 @@ class TestMaximalOrderReport:
             c = SkewMatrix.from_upper(5, 3, {(0, 1): u[0], (0, 2): u[1], (1, 2): u[2]})
             report = theorem212_check(from_skew_matrix(c), 1, 10)
             assert report.conditions_hold
+
+    def test_limits_reach_every_engine(self):
+        s = jordan_plane(5)
+        with pytest.raises(SearchSpaceTooLarge, match="6 candidates at degree 1"):
+            theorem212_check(s, 2, 15, Limits(candidates=5))
+        with pytest.raises(DegreeBoundTooLarge, match="16 columns at degree 15"):
+            theorem212_check(s, 2, 15, Limits(columns=15))
+        skew = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 0], [0, 0]]))
+        with pytest.raises(CapExceeded, match="25 kernel vectors, cap is 24"):
+            theorem212_check(skew, 1, 10, Limits(kernel=24))
 
     def test_explicit_table_uses_oracle_rank(self):
         # same bracket as a skew structure but loaded as an explicit

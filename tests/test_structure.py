@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
+from poismodp import linalg
 from poismodp.deriv import Derivation, euler, modular_derivation
 from poismodp.errors import (
     JacobiViolation,
     ModulusMismatch,
+    ModulusTooLarge,
     NotAlphaDerivation,
     NotGraded,
     NotPoissonDerivation,
@@ -46,6 +49,22 @@ class TestSkewMatrix:
         c = SkewMatrix.from_rows(5, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
         cp = c.permuted((2, 1, 0))
         assert cp[0, 1] == c[2, 1]
+
+
+class TestModulusBound:
+    # n^2 (p-1)^2 < 2^63: for n = 3 the largest prime below the bound is
+    # 1012333499 and the next prime is 1012333519; at p = 2^31 - 1, int64
+    # squares the all-(p-1) 3x3 matrix wrongly
+    def test_largest_prime_accepted_and_exact(self):
+        p = 1012333499
+        assert trivial_structure(p, 3).p == p
+        a = np.full((3, 3), p - 1, dtype=np.int64)
+        assert linalg.mat_mul(a, a, p).tolist() == [[3 * (p - 1) ** 2 % p] * 3] * 3
+
+    @pytest.mark.parametrize("p", [1012333519, 2**31 - 1])
+    def test_larger_prime_rejected(self, p):
+        with pytest.raises(ModulusTooLarge):
+            trivial_structure(p, 3)
 
 
 class TestConstructors:
