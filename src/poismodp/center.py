@@ -478,6 +478,11 @@ def reduce_generators(
     return kept
 
 
+UNSTABLE_RANK_NOTE = (
+    "module generators found near the degree bound; count may be unstable"
+)
+
+
 def rank_over_subring(
     p: int,
     n: int,
@@ -511,7 +516,5 @@ def rank_over_subring(
         count += quotient
     notes = ["rank assumes the center is a free module over the p-th powers"]
     if last_nonzero > max_degree - p:
-        notes.append(
-            "module generators found near the degree bound; count may be unstable"
-        )
+        notes.append(UNSTABLE_RANK_NOTE)
     return Fraction(p**n, count), tuple(notes)

@@ -1,8 +1,14 @@
-"""Dense exact linear algebra mod p on numpy int64 matrices.
+"""Exact linear algebra mod p on numpy int64 matrices.
 
 Entries are kept reduced in [0, p).  Everything here is deterministic:
 pivots are chosen first-nonzero top-down, nullspace vectors follow the
 free columns in ascending order.
+
+`nullspace` and `rank` split a matrix into the connected blocks of its
+row/column incidence graph before eliminating: a column alone in its
+block is decided by whether it is zero, and each larger block gets one
+dense `rref`.  The operator matrices of the center engines are very
+sparse and fall apart into thousands of such blocks.
 
 Polynomials and matrices on a monomial basis meet only here:
 `coeff_matrix` and `derivation_matrix` fill matrices from polynomial
@@ -11,7 +17,7 @@ terms, and `vec_to_poly` reads a vector back.
 
 from __future__ import annotations
 
-from operator import add
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,47 +40,83 @@ def derivation_matrix(images, src, tgt) -> np.ndarray:
     span(tgt), computed on exponents:
     delta(x^e) = sum_j e_j x^(e - eps_j) images[j].
 
+    The sources are one int64 exponent array; each image term shifts the
+    sources with e_j != 0 mod p, and one lookup finds all target rows.
     Like the MultiPoly arithmetic it replaces, it raises DegreeOverflow
     for a source monomial or a nonzero image term above DEGREE_CAP.
     """
-    for e in src:
-        if sum(e) > DEGREE_CAP:
-            raise DegreeOverflow(f"term degree {sum(e)} exceeds cap {DEGREE_CAP}")
-    index = {e: r for r, e in enumerate(tgt)}
+    exps = _exponent_table(tuple(src), len(images))[0]
+    degrees = exps.sum(axis=1)
+    over = np.flatnonzero(degrees > DEGREE_CAP)
+    if over.size:
+        raise DegreeOverflow(f"term degree {degrees[over[0]]} exceeds cap {DEGREE_CAP}")
     m = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    targets, cols, vals = [], [], []
     for j, g in enumerate(images):
         if g.is_zero:
             continue
-        # exponent shift g_e - eps_j per term of g; (row, column) pairs
-        # are then distinct for this j
-        shifts = [
-            (tuple(a - (i == j) for i, a in enumerate(ge)), c)
-            for ge, c in g.terms.items()
-        ]
+        p = g.p
+        ej = exps[:, j] % p
+        hit = np.flatnonzero(ej)
         added = g.degree() - 1
-        rows, cols, vals = [], [], []
-        for k, e in enumerate(src):
-            ej = e[j] % g.p
-            if not ej:
-                continue
-            if sum(e) + added > DEGREE_CAP:
-                raise DegreeOverflow(
-                    f"term degree {sum(e) + added} exceeds cap {DEGREE_CAP}"
-                )
-            for shift, c in shifts:
-                rows.append(index[tuple(map(add, e, shift))])
-                cols.append(k)
-                vals.append(ej * c)
-        m[rows, cols] = (m[rows, cols] + vals) % g.p
+        over = hit[degrees[hit] + added > DEGREE_CAP]
+        if over.size:
+            raise DegreeOverflow(
+                f"term degree {degrees[over[0]] + added} exceeds cap {DEGREE_CAP}"
+            )
+        # (row, column) pairs are distinct for one j: the shifts differ
+        for ge, c in g.terms.items():
+            shift = np.array(ge, dtype=np.int64)
+            shift[j] -= 1
+            targets.append(exps[hit] + shift)
+            cols.append(hit)
+            vals.append(ej[hit] * c)
+    if targets:
+        cells = _row_index(tgt, np.concatenate(targets)), np.concatenate(cols)
+        # each cell sums at most n products below p^2: exact in int64.
+        # Only the cells written are reduced, so the untouched pages of
+        # the zero matrix stay unallocated.
+        np.add.at(m, cells, np.concatenate(vals))
+        m[cells] %= p
     return m
 
 
+def _row_keys(exps: np.ndarray) -> np.ndarray:
+    """One opaque key per row: rows compare equal iff their keys do."""
+    exps = np.ascontiguousarray(exps)
+    return exps.view(np.dtype((np.void, 8 * exps.shape[1]))).ravel()
+
+
+@lru_cache(maxsize=256)
+def _exponent_table(basis: tuple, n: int) -> tuple[np.ndarray, ...]:
+    """The exponent vectors of a monomial basis as the rows of an int64
+    array, with their keys sorted and the sorting permutation.  Cached,
+    since all the operators on one degree share their bases; read-only,
+    since every caller gets the same arrays."""
+    exps = np.array(basis, dtype=np.int64).reshape(len(basis), n)
+    order = np.argsort(_row_keys(exps))
+    table = exps, _row_keys(exps)[order], order
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _row_index(basis, exps: np.ndarray) -> np.ndarray:
+    """Position in `basis` of each row of `exps`.  Rows are matched whole,
+    so the lookup is exact for any number of variables."""
+    _, keys, order = _exponent_table(tuple(basis), exps.shape[1])
+    want = _row_keys(exps)
+    pos = np.searchsorted(keys, want)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == want[found]
+    if not found.all():
+        raise KeyError(tuple(int(x) for x in exps[np.argmin(found)]))
+    return order[pos]
+
+
 def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
-    terms = {}
-    for k, e in enumerate(basis):
-        c = int(v[k]) % p
-        if c:
-            terms[e] = c
+    v = np.asarray(v) % p
+    terms = {basis[k]: int(v[k]) for k in np.flatnonzero(v)}
     out = MultiPoly(p, n)
     out.terms = terms
     return out
@@ -89,54 +131,96 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
-        pivot_row = r + int(nz[0])
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        inv = ff_inv(int(m[r, c]), p)
-        m[r] = (m[r] * inv) % p
+        k = r + int(nz[0])
+        row = m[k] * ff_inv(int(m[k, c]), p) % p
+        if k != r:
+            m[k] = m[r]
+        m[r] = row
         col = m[:, c].copy()
         col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
+        others = col.nonzero()[0]
+        if others.size:
+            m[others] = (m[others] - col[others, None] * row) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def _reduced(a: np.ndarray, p: int) -> np.ndarray:
+    """a with its entries in [0, p): a itself when they already are, as
+    operator matrices are, so that no copy of a large stack is made."""
+    if a.size and (a.min() < 0 or a.max() >= p):
+        return a % p
+    return a
+
+
+def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Connected blocks of the incidence graph of a reduced matrix, in
+    which column c meets row r when a[r, c] != 0.
+
+    Returns the mask of the zero columns, and the (rows, columns) of
+    every block of more than one column, both ascending.  The columns
+    in neither are nonzero columns alone in their block: pivots.
+    """
+    rows, cols = a.shape
+    # the flat nonzeros of a boolean mask are found several times faster
+    # than np.nonzero(a) on a large int64 matrix
+    r, c = np.divmod((a != 0).ravel().nonzero()[0], cols)
+    # min-label propagation with pointer jumping: every column ends up
+    # labelled by the least column of its block.  Labels only decrease,
+    # so equal sums mean a fixed point.
+    label = np.arange(cols)
+    while True:
+        row_min = np.full(rows, cols)
+        np.minimum.at(row_min, r, label[c])
+        new = label.copy()
+        np.minimum.at(new, c, row_min[r])
+        new = new[new]
+        if new.sum() == label.sum():
+            break
+        label = new
+    row_label = np.full(rows, -1)
+    row_label[r] = label[c]
+    blocks = [((row_label == b).nonzero()[0], (label == b).nonzero()[0])
+              for b in (np.bincount(label, minlength=cols) > 1).nonzero()[0]]
+    return np.bincount(c, minlength=cols) == 0, blocks
+
+
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+    """Rank of a: its nonzero columns less the nullity of each block."""
+    a = _reduced(a, p)
+    zero, blocks = _blocks(a)
+    return int(np.count_nonzero(~zero)) - sum(
+        len(cs) - len(rref(a[rs][:, cs], p)[1]) for rs, cs in blocks
+    )
 
 
 def nullspace(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace of a, one vector per free column."""
-    rows, cols = a.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [_unit(cols, j) for j in range(cols)]
-    m, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-int(m[r, fc])) % p
-        basis.append(v)
-    return basis
+    """Basis of the right nullspace of a, one vector per free column.
 
-
-def _unit(length: int, j: int) -> np.ndarray:
-    v = np.zeros(length, dtype=np.int64)
-    v[j] = 1
-    return v
+    Up to a permutation a is block diagonal, so its pivot columns are
+    those of its blocks, and the vector of a free column, its unique
+    expression in the pivot columns, lies in that column's block: the
+    basis is the one a single rref of a would give, vector for vector.
+    """
+    a = _reduced(a, p)
+    free, blocks = _blocks(a)
+    solved = []
+    for rs, cs in blocks:
+        m, pivots = rref(a[rs][:, cs], p)
+        own = np.ones(len(cs), dtype=bool)
+        own[pivots] = False
+        free[cs[own]] = True
+        solved.append((cs[own], cs[pivots], m[: len(pivots), own]))
+    free_cols = free.nonzero()[0]
+    basis = np.zeros((len(free_cols), a.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free_cols)), free_cols] = 1
+    for fcs, pcs, coeffs in solved:
+        basis[np.searchsorted(free_cols, fcs)[:, None], pcs] = -coeffs.T % p
+    return list(basis)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
@@ -153,10 +237,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def in_row_space(a: np.ndarray, v: np.ndarray, p: int) -> bool:
-    if a.size == 0:
-        return not np.any(v % p)
-    base = rank(a, p)
-    return rank(np.vstack([a, v]), p) == base
+    return rank(np.vstack([a, v]), p) == rank(a, p)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .center import (
+    UNSTABLE_RANK_NOTE,
     CenterReport,
     bracket_matrices,
     center_oracle,
@@ -140,6 +141,24 @@ def _block(bracket, mults, row, p):
     return (bracket - np.tensordot(row, mults, 1)) % p
 
 
+def _digits(index, p, k):
+    """The base-p digits, most significant first, of flat candidate
+    indices: their coefficient vectors in itertools.product order."""
+    return np.asarray(index)[..., None] // p ** np.arange(k - 1, -1, -1) % p
+
+
+def _combinations(vectors, p):
+    """Every F_p-combination of the rows of `vectors`, one row each, in
+    the order of `_digits`: built one coefficient at a time, so the
+    p^k x k table of coefficients is never made."""
+    out = np.zeros((1, vectors.shape[1]), dtype=np.int64)
+    for v in vectors:
+        out = out[:, None, :] + np.multiply.outer(np.arange(p), v)
+        np.remainder(out, p, out=out)
+        out = out.reshape(len(out) * p, len(v))
+    return out
+
+
 def _scan_eigenspaces(struct, d, pder0, limits):
     """Union over candidate degree-0 derivations delta of the solution
     spaces of {x_i, f} = delta(x_i) f on the degree-d component.
@@ -162,22 +181,22 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     brackets = bracket_matrices(struct, d)
     mults = np.stack(multiplication_matrices(p, n, d))
     basis = np.array(pder0, dtype=np.int64).reshape(k, n, n)
-    # candidates in itertools.product order; p^k passed the cap (10^7 by
-    # default), so k*(p-1)^2 and the row codes (< p^k) are far below 2^63
-    grid = np.indices((p,) * k).reshape(k, p**k).T
+    # candidate g is the coefficient vector _digits(g) of itertools.product
+    # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
+    # row codes (< p^k) are far below 2^63
     alive = np.ones(p**k, dtype=bool)
     for i in range(n):
         rows = basis[:, i, :]  # row i of every basis derivation
         cols = linalg.rref(rows, p)[1]  # a row value is fixed by these entries
-        codes = (grid @ rows[:, cols] % p) @ p ** np.arange(len(cols))
+        codes = _combinations(rows[:, cols], p) @ p ** np.arange(len(cols))
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        dead = [u for u, row in enumerate(grid[first] @ rows % p)
+        dead = [u for u, row in enumerate(_digits(first, p, k) @ rows % p)
                 if not linalg.nullspace(_block(brackets[i], mults, row, p), p)]
         alive &= ~np.isin(inverse, dead)
     found = []
     elements = 0
     for g in np.flatnonzero(alive):
-        D = np.tensordot(grid[g], basis, 1) % p
+        D = np.tensordot(_digits(g, p, k), basis, 1) % p
         blocks = [_block(b, mults, row, p) for b, row in zip(brackets, D)]
         kernel = linalg.nullspace(np.vstack(blocks), p)
         if not kernel:
@@ -306,12 +325,13 @@ def log_ozone_group(
     span = np.zeros((0, n * n), dtype=np.int64)
     found = {Derivation.zero(p, n).key(): MultiPoly.const(p, n, 1)}
     for f, delta in pairs:
-        found.setdefault(delta.key(), f)
-        vec = delta.matrix().reshape(-1)
-        if linalg.in_row_space(span, vec, p):
+        if delta.key() in found:  # tested already
             continue
-        basis.append((delta, f))
-        span = np.vstack([span, vec])
+        found[delta.key()] = f
+        grown = np.vstack([span, delta.matrix().reshape(-1)])
+        if linalg.rank(grown, p) > len(basis):  # the rows of span are independent
+            basis.append((delta, f))
+            span = grown
     return LozGroup(
         p=p,
         n=n,
@@ -466,7 +486,12 @@ def theorem212_check(
     struct: PoissonStructure, dmax: int, max_degree: int, limits: Limits = Limits()
 ) -> MaximalOrderReport:
     """Measure |loz| (bounded), inferability, and rk_Z(P); for skew
-    provenance additionally confirm the expected equivalence."""
+    provenance additionally confirm the expected equivalence.
+
+    Otherwise the rank is the oracle's estimate, and `conditions_hold`
+    is None when that estimate is non-integral or may be unstable,
+    unless a non-diagonalizable group element already makes it False.
+    """
     group = log_ozone_group(struct, dmax, limits)
     inferable = is_inferable(struct, group)
     notes: tuple[str, ...] = group.notes
@@ -496,7 +521,13 @@ def theorem212_check(
         )
     sub_bases = {d: list(bs) for d, bs in center.graded_basis.items()}
     rank, rank_notes = rank_over_subring(struct.p, struct.n, sub_bases, max_degree)
-    conditions = (rank.denominator == 1 and group.order == rank) and inferable
+    if not inferable:
+        conditions = False
+    elif rank.denominator != 1 or UNSTABLE_RANK_NOTE in rank_notes:
+        # an unsettled rank estimate decides nothing
+        conditions = None
+    else:
+        conditions = group.order == rank
     return MaximalOrderReport(
         order=group.order,
         inferable=inferable,

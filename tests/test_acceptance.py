@@ -397,5 +397,5 @@ def test_criterion_11_structural_predicates():
         assert report.conditions_hold, u
     jordan = explicit_structure(p, 2, {(0, 1): parse_poly("x1^2", p, 2)})
     jr = theorem212_check(jordan, 2, 3 * p)
-    assert jr.order == p and jr.rank == str(p**2) and not jr.conditions_hold
+    assert jr.order == p and jr.rank == str(p**2) and jr.conditions_hold is False
     print(PASS.format(11, "witness found, predicate table, maximal-order report"))

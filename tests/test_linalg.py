@@ -1,8 +1,13 @@
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismodp import linalg
+from poismodp.catalog import potential_catalog
+from poismodp.center import bracket_matrices
 from poismodp.fieldpoly import squarefree
 
 from conftest import SEED
@@ -93,3 +98,91 @@ class TestMatrixOps:
         m = linalg.minimal_polynomial(a, 5)
         assert m.coeffs == [0, 1]  # t
         assert squarefree(m)
+
+
+# ---------------------------------------------------------------------
+# Block-split kernels against one dense elimination
+# ---------------------------------------------------------------------
+
+
+def dense_nullspace(a, p):
+    """One rref of the whole matrix, then one vector per free column."""
+    m, pivots = linalg.rref(a, p)
+    basis = []
+    for fc in range(a.shape[1]):
+        if fc in pivots:
+            continue
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -int(m[r, fc]) % p
+        basis.append(v)
+    return basis
+
+
+def assert_split_equals_dense(a, p):
+    split, dense = linalg.nullspace(a, p), dense_nullspace(a, p)
+    assert len(split) == len(dense)
+    for v, w in zip(split, dense):
+        assert v.dtype == np.int64 and np.array_equal(v, w)
+    assert linalg.rank(a, p) == len(linalg.rref(a, p)[1])
+
+
+@st.composite
+def block_sparse(draw):
+    """A matrix with independent blocks, rows and columns shuffled, and
+    its prime; or an empty, zero or dense matrix.  Entries are sometimes
+    left unreduced, so that multiples of p must not join blocks."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    kind = draw(st.sampled_from(["blocks", "blocks", "empty", "zero", "dense"]))
+    if kind == "empty":
+        return np.zeros(draw(st.sampled_from([(0, 0), (0, 4), (3, 0)])), dtype=np.int64), p
+    if kind == "blocks":
+        sizes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)),
+                              min_size=1, max_size=6))
+    else:
+        sizes = [(draw(st.integers(1, 6)), draw(st.integers(1, 6)))]
+    rows, cols = sum(r for r, _ in sizes), sum(c for _, c in sizes)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for br, bc in sizes:
+        if kind != "zero":
+            fill = 1.0 if kind == "dense" else draw(st.sampled_from([0.2, 0.5, 1.0]))
+            entries = draw(st.lists(st.integers(1, p - 1), min_size=br * bc,
+                                    max_size=br * bc))
+            keep = draw(st.lists(st.floats(0, 1), min_size=br * bc, max_size=br * bc))
+            block = [e if k < fill else 0 for e, k in zip(entries, keep)]
+            a[r0:r0 + br, c0:c0 + bc] = np.array(block, dtype=np.int64).reshape(br, bc)
+        r0, c0 = r0 + br, c0 + bc
+    if draw(st.booleans()):
+        a = a + p * draw(st.sampled_from([-1, 1, 2]))
+    rperm = draw(st.permutations(range(rows)))
+    cperm = draw(st.permutations(range(cols)))
+    return a[np.ix_(rperm, cperm)], p
+
+
+class TestBlockSplit:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(block_sparse())
+    def test_random_block_sparse(self, case):
+        assert_split_equals_dense(*case)
+
+    @pytest.mark.parametrize("form", potential_catalog(7), ids=lambda f: f.label)
+    def test_catalog_operator_stacks(self, form):
+        struct = form.structure()
+        for d in range(22):
+            assert_split_equals_dense(np.vstack(bracket_matrices(struct, d)), 7)
+
+    def test_blocks_of_a_permuted_block_diagonal(self):
+        # columns {0, 3} and {1, 4} are blocks; 2 is zero, 5 a lone pivot
+        a = np.array([[1, 0, 0, 2, 0, 0],
+                      [0, 3, 0, 0, 1, 0],
+                      [2, 0, 0, 4, 0, 0],
+                      [0, 0, 0, 0, 0, 4]], dtype=np.int64)
+        zero, blocks = linalg._blocks(a)
+        assert zero.tolist() == [False, False, True, False, False, False]
+        assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
+            ([0, 2], [0, 3]), ([1], [1, 4])]
+        assert linalg.rank(a, 5) == 3
+        assert [v.tolist() for v in linalg.nullspace(a, 5)] == [
+            [0, 0, 1, 0, 0, 0], [3, 0, 0, 1, 0, 0], [0, 3, 0, 0, 1, 0]]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from poismodp import linalg
 from poismodp.catalog import potential_catalog
-from poismodp.center import center_oracle
+from poismodp.center import UNSTABLE_RANK_NOTE, center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
     CapExceeded,
@@ -189,6 +190,23 @@ class TestEnumerate:
         for p in (5, 7):
             pairs = enumerate_normal(trivial_structure(p, 3), 2)
             assert len(pairs) == (p**3 - 1) // (p - 1) + (p**6 - 1) // (p - 1)
+
+    def test_eigenspace_scan_memory(self):
+        # the zero bracket on 3 variables at p=3 has k = 9 degree-0
+        # derivations: the scan's row codes take p^k x rank entries, less
+        # than the p^k x k table of candidate coefficients alone
+        s = trivial_structure(3, 3)
+        pder0 = pder0_matrix_space(s)
+        k = len(pder0)
+        assert k == 9
+        tracemalloc.start()
+        try:
+            found = _scan_eigenspaces(s, 1, pder0, Limits())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 13  # every monic linear form, with delta = 0
+        assert peak < 3**k * k * 8
 
     def test_search_cap(self):
         s = two_lines(5)
@@ -468,7 +486,19 @@ class TestMaximalOrderReport:
         report = theorem212_check(s, 2, 15)
         assert report.order == 5
         assert report.rank == "25"
-        assert not report.conditions_hold
+        assert report.conditions_hold is False
+
+    @pytest.mark.parametrize("p, rank", [(5, "125/4"), (7, "343/5")])
+    def test_unstable_rank_gives_no_verdict(self, p, rank):
+        # ThreeLines is the cyclic skew bracket in disguise, with
+        # rk_Z = p^2 = |loz|; at max_degree 2p the oracle's estimate is
+        # non-integral and flagged unstable, so it decides nothing
+        form = next(f for f in potential_catalog(p) if f.form_id == "ThreeLines")
+        report = theorem212_check(form.structure(), 1, 2 * p)
+        assert report.order == p**2 and report.inferable
+        assert report.rank == rank and not report.rank_exact
+        assert UNSTABLE_RANK_NOTE in report.notes
+        assert report.conditions_hold is None
 
     def test_trivial_skew(self):
         s = from_skew_matrix(SkewMatrix.from_rows(3, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]))

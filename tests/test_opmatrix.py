@@ -124,6 +124,69 @@ class TestDerivationMatrix:
             )
 
 
+def tuple_loop_matrix(images, src, tgt):
+    """Reference for `derivation_matrix`: one pass over the source
+    monomials per image term, on exponent tuples."""
+    index = {e: r for r, e in enumerate(tgt)}
+    m = np.zeros((len(tgt), len(src)), dtype=np.int64)
+    for j, g in enumerate(images):
+        for k, e in enumerate(src):
+            ej = e[j] % g.p
+            if not ej:
+                continue
+            for ge, c in g.terms.items():
+                t = tuple(a + b - (i == j) for i, (a, b) in enumerate(zip(e, ge)))
+                m[index[t], k] = (m[index[t], k] + ej * c) % g.p
+    return m
+
+
+def assert_matches_tuple_loop(images, src, tgt):
+    m, ref = derivation_matrix(images, src, tgt), tuple_loop_matrix(images, src, tgt)
+    assert m.shape == ref.shape
+    for k, e in enumerate(src):
+        assert np.array_equal(m[:, k], ref[:, k]), e
+
+
+@st.composite
+def homogeneous(draw, p, n, d, max_terms=3):
+    monos = monomials_of_degree(n, d)
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
+                                 max_size=max_terms))
+    return MultiPoly(p, n, terms)
+
+
+class TestDerivationMatrixVectorised:
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 4), st.integers(0, 3), st.integers(0, 5))
+    def test_graded(self, data, p, n, e, d):
+        # images homogeneous of degree e map A_d into A_{d+e-1}
+        images = [data.draw(homogeneous(p, n, e)) for _ in range(n)]
+        tgt = monomials_of_degree(n, max(d + e - 1, 0))
+        assert_matches_tuple_loop(images, monomials_of_degree(n, d), tgt)
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 4))
+    def test_filtered(self, data, p, n, top):
+        images = [data.draw(polys(p, n, 3)) for _ in range(n)]
+        tgt = monomials_upto_degree(n, top + 2)
+        assert_matches_tuple_loop(images, monomials_upto_degree(n, top), tgt)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_many_variables(self, rng, d):
+        # quadratic images on n = 41 variables: a mixed-radix key of the
+        # exponents would pass 2^63 here
+        p, n = 3, 41
+
+        def quadratic():
+            a, b = rng.randrange(n), rng.randrange(n)
+            e = tuple((i == a) + (i == b) for i in range(n))
+            return MultiPoly(p, n, {e: rng.randrange(1, p)} if rng.random() < 0.8 else {})
+
+        images = [quadratic() for _ in range(n)]
+        src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
+        assert_matches_tuple_loop(images, src, tgt)
+
+
 class TestCoeffMatrix:
     def test_columns(self):
         p = 5
