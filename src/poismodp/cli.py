@@ -28,7 +28,7 @@ from .center import (
 )
 from .deriv import is_unimodular
 from .errors import InternalCheckFailed, Limits, ParseError, PoisError, require_prime
-from .fieldpoly import DEGREE_CAP, format_poly
+from .fieldpoly import format_poly
 from .loz import (
     c_loz,
     decomposable_witness,
@@ -41,11 +41,23 @@ from .structure import SkewMatrix, from_skew_matrix
 
 SCHEMA = 1
 
+
+def _count(least: int = 0):
+    """The argparse type of a count flag: an integer >= least."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 # Options given only to the commands that read them; --format goes to all.
 # Each cap's dest is the Limits field it sets.
 _OPTIONS = {
-    "--cap-columns": dict(dest="columns", type=int, default=Limits.columns),
-    "--cap-candidates": dict(dest="candidates", type=int, default=Limits.candidates),
+    "--cap-columns": dict(dest="columns", type=_count(), default=Limits.columns),
+    "--cap-candidates": dict(dest="candidates", type=_count(),
+                             default=Limits.candidates),
 }
 
 
@@ -61,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("center", help="compute a Poisson center")
     pc.add_argument("--algebra", required=True)
-    pc.add_argument("--max-degree", type=int, default=None)
+    pc.add_argument("--max-degree", type=_count(), default=None)
     pc.add_argument("--engine", choices=("monoid", "oracle", "both"),
                     default="oracle")
     _add_common(pc, "--cap-columns")
@@ -81,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("loz", help="log-ozone group of a graded structure")
     pl.add_argument("--algebra", required=True)
-    pl.add_argument("--normal-degree", type=int, default=3)
-    pl.add_argument("--max-degree", type=int, default=None)
+    pl.add_argument("--normal-degree", type=_count(), default=3)
+    pl.add_argument("--max-degree", type=_count(), default=None)
     pl.add_argument("--predicates", action="store_true")
     _add_common(pl, "--cap-columns", "--cap-candidates")
 
@@ -91,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--form", choices=FORM_IDS)
     pt.add_argument("--lam", type=int, default=None)
     pt.add_argument("--verify", action="store_true")
-    pt.add_argument("--max-degree", type=int, default=12)
+    pt.add_argument("--max-degree", type=_count(), default=12)
     _add_common(pt, "--cap-columns")
 
     ps = sub.add_parser("survey", help="exhaustive skew-matrix survey")
     ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--n", type=int, default=3)
+    ps.add_argument("--n", type=_count(1), default=3)
     _add_common(ps, "--cap-candidates")
 
     pv = sub.add_parser("verify-fixtures", help="replay the worked examples")
@@ -156,30 +168,15 @@ def _skew_matrix_of(struct) -> SkewMatrix:
     return struct.provenance.matrix
 
 
-def _max_degree(args, default: int) -> tuple[int, tuple[str, ...]]:
-    """`--max-degree` if given, else `default` kept below the term degree
-    cap (brackets raise degree by one), with a note when it was lowered."""
-    if args.max_degree is not None:
-        return args.max_degree, ()
-    if default < DEGREE_CAP:
-        return default, ()
-    return DEGREE_CAP - 1, (
-        f"default max degree {default} lowered to {DEGREE_CAP - 1}: "
-        f"term degrees are capped at {DEGREE_CAP}",
-    )
-
-
 def cmd_center(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
-    max_degree, notes = _max_degree(args, 3 * struct.p)
+    max_degree = 3 * struct.p if args.max_degree is None else args.max_degree
     reports = {}
     if args.engine in ("monoid", "both"):
         m = skew_monoid(_skew_matrix_of(struct), args.limits)
         reports["monoid"] = center_generators_skew(m, max_degree)
     if args.engine in ("oracle", "both"):
         reports["oracle"] = center_oracle(struct, max_degree, args.limits)
-    for report in reports.values():
-        report.notes += notes
     if args.engine == "both":
         agree = reports["monoid"].hilbert == reports["oracle"].hilbert
         payload = {
@@ -268,10 +265,9 @@ def cmd_classify(args) -> int:
 
 def cmd_loz(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
-    max_degree, notes = _max_degree(args, 2 * struct.p)
+    max_degree = 2 * struct.p if args.max_degree is None else args.max_degree
     group = log_ozone_group(struct, args.normal_degree, args.limits)
     kernel = c_loz(struct, group, max_degree, args.limits)
-    notes = group.notes + notes
     payload = {
         "schema": SCHEMA,
         "order": group.order,
@@ -281,7 +277,7 @@ def cmd_loz(args) -> int:
             for d, f in group.basis
         ],
         "c_loz_hilbert": kernel.hilbert,
-        "notes": list(notes),
+        "notes": list(group.notes),
     }
     lines = [f"order: {group.order} (search bound {group.search_bound})"]
     for d, f in group.basis:
@@ -314,7 +310,7 @@ def cmd_loz(args) -> int:
                " + ".join(f"({format_poly(z)})*({format_poly(f)})"
                           for z, _, f in witness.terms) + " = 0")
         )
-    for note in notes:
+    for note in group.notes:
         lines.append(f"note: {note}")
     _emit(args, payload, lines)
     return 0
@@ -395,6 +391,9 @@ def cmd_survey(args) -> int:
             (row["case"] != "NotGorenstein") != row["gorenstein"]
         ):
             problems.append(f"classification disagrees: {row['upper']}")
+        if row["loz_order_deg1"] * row["box_size"] != p**n:
+            # |loz| = rk_Z(P) = p^n / |B| for skew structures
+            problems.append(f"log-ozone order is not p^n/|B|: {row['upper']}")
     summary = {
         "matrices": total,
         "gorenstein": sum(1 for r in ordered if r["gorenstein"]),

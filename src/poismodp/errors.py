@@ -39,10 +39,6 @@ class IndexOutOfRange(PoisError, IndexError):
     pass
 
 
-class DegreeOverflow(PoisError, OverflowError):
-    pass
-
-
 class ParseError(PoisError, ValueError):
     pass
 

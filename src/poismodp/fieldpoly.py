@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 
 from .errors import (
     ArityMismatch,
-    DegreeOverflow,
     IndexOutOfRange,
     ModulusMismatch,
     ParseError,
@@ -26,12 +25,6 @@ from .errors import (
     ZeroInput,
     ZeroInverse,
 )
-
-#: Total-degree guard for any single term.  Desk-scale safety net: the
-#: library targets hand-sized computations and an exponent blow-up is a
-#: bug, not a workload.
-DEGREE_CAP = 64
-
 
 def ff_inv(a: int, p: int) -> int:
     """Multiplicative inverse of a mod p."""
@@ -89,10 +82,6 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                if sum(exps) > DEGREE_CAP:
-                    raise DegreeOverflow(
-                        f"term degree {sum(exps)} exceeds cap {DEGREE_CAP}"
-                    )
                 clean[exps] = c
         self.terms = clean
         self._key = None
@@ -321,9 +310,6 @@ def poly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 terms[e] = v
             else:
                 terms.pop(e, None)
-    for e in terms:
-        if sum(e) > DEGREE_CAP:
-            raise DegreeOverflow(f"term degree {sum(e)} exceeds cap {DEGREE_CAP}")
     out = MultiPoly(f.p, f.n)
     out.terms = terms
     return out

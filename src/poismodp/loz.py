@@ -9,9 +9,7 @@ claim is made beyond the search bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Optional
@@ -31,7 +29,6 @@ from .center import (
 )
 from .deriv import Derivation
 from .errors import (
-    DegreeOverflow,
     InternalCheckFailed,
     Limits,
     NotGraded,
@@ -259,55 +256,36 @@ class LozGroup:
     """Additive closure of the log-ozone derivations found by a bounded
     search; always a genuine subgroup of the full log-ozone group.
 
-    The group is the F_p-span of `basis`; its elements and their
-    representatives are built only when `elements` or `representative`
-    is first read."""
+    The group is the F_p-span of `basis`, and every question about it is
+    answered from the basis; `found` maps the key of each derivation the
+    search met to that derivation and its first normal element."""
 
     p: int
     n: int
     search_bound: int
     basis: list[tuple[Derivation, MultiPoly]]
-    found: dict[tuple, MultiPoly]
+    found: dict[tuple, tuple[Derivation, MultiPoly]]
     notes: tuple[str, ...] = ()
 
     @property
     def order(self) -> int:
         return self.p ** len(self.basis)
 
-    @cached_property
-    def _closure(self) -> dict[tuple, tuple[Derivation, Optional[MultiPoly]]]:
-        """Every element by key, in ascending key order, with a normal
-        element realizing it: the one found by the search, else the
-        product of the basis elements' powers, else None if that product
-        overflows the degree cap."""
-        p, n = self.p, self.n
-        one = MultiPoly.const(p, n, 1)
-        closure = {}
-        for coeffs in itertools.product(range(p), repeat=len(self.basis)):
-            terms = [(c, b, f) for c, (b, f) in zip(coeffs, self.basis) if c]
-            delta = sum((b * c for c, b, _ in terms), Derivation.zero(p, n))
-            rep = self.found.get(delta.key())
-            if rep is None:
-                try:
-                    rep = prod((f**c for c, _, f in terms), start=one)
-                except DegreeOverflow:
-                    rep = None
-            closure[delta.key()] = (delta, rep)
-        return dict(sorted(closure.items()))
+    def _rows(self) -> np.ndarray:
+        """The basis matrices, flattened, one row each."""
+        rows = [b.matrix().reshape(-1) for b, _ in self.basis]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n**2)
 
     @property
     def elements(self) -> list[Derivation]:
-        return [delta for delta, _ in self._closure.values()]
-
-    def representative(self, delta: Derivation) -> Optional[MultiPoly]:
-        return self._closure.get(delta.key(), (None, None))[1]
+        """All p^k elements, one per F_p-combination of the basis."""
+        return [Derivation.from_matrix(self.p, row.reshape(self.n, self.n))
+                for row in _combinations(self._rows(), self.p)]
 
     def contains(self, delta: Derivation) -> bool:
         if (delta.p, delta.n) != (self.p, self.n) or not delta.is_graded_degree_zero():
             return False
-        rows = [b.matrix().reshape(-1) for b, _ in self.basis]
-        span = np.array(rows, dtype=np.int64).reshape(len(rows), self.n**2)
-        return linalg.in_row_space(span, delta.matrix().reshape(-1), self.p)
+        return linalg.in_row_space(self._rows(), delta.matrix().reshape(-1), self.p)
 
 
 def log_ozone_group(
@@ -323,11 +301,12 @@ def log_ozone_group(
 
     basis: list[tuple[Derivation, MultiPoly]] = []
     span = np.zeros((0, n * n), dtype=np.int64)
-    found = {Derivation.zero(p, n).key(): MultiPoly.const(p, n, 1)}
+    zero = Derivation.zero(p, n)
+    found = {zero.key(): (zero, MultiPoly.const(p, n, 1))}
     for f, delta in pairs:
         if delta.key() in found:  # tested already
             continue
-        found[delta.key()] = f
+        found[delta.key()] = (delta, f)
         grown = np.vstack([span, delta.matrix().reshape(-1)])
         if linalg.rank(grown, p) > len(basis):  # the rows of span are independent
             basis.append((delta, f))
@@ -366,34 +345,58 @@ def c_loz(
 # ---------------------------------------------------------------------
 
 
-def _require_degree_zero(struct: PoissonStructure, group: LozGroup) -> None:
+def _basis_matrices(struct: PoissonStructure, group: LozGroup) -> np.ndarray:
+    """The k x n x n stack of the basis' matrices on the degree-1
+    component, checked to commute, as log-ozone derivations do."""
     if not struct.graded:
         raise NotGradedDegreeZero("predicates need a graded structure")
     for delta, _ in group.basis:
         if not delta.is_graded_degree_zero():
             raise NotGradedDegreeZero("group contains a non-degree-0 derivation")
+    mats = group._rows().reshape(-1, group.n, group.n)
+    # all products B_i B_j at once; entries stay below n (p-1)^2 < 2^63
+    products = np.einsum("aij,bjk->abik", mats, mats) % group.p
+    if not (products == products.transpose(1, 0, 2, 3)).all():
+        raise InternalCheckFailed("the log-ozone basis does not commute")
+    return mats
 
 
 def is_inferable(struct: PoissonStructure, group: LozGroup) -> bool:
     """Every group element acts diagonalizably on the degree-1 component,
-    tested over the algebraic closure via a squarefree minimal polynomial."""
-    _require_degree_zero(struct, group)
-    for delta in group.elements:
-        m = linalg.minimal_polynomial(delta.matrix(), struct.p)
-        if not squarefree(m):
-            return False
-    return True
+    tested over the algebraic closure via a squarefree minimal polynomial.
+
+    Commuting diagonalizable matrices are simultaneously diagonalizable,
+    so it suffices that every basis matrix is."""
+    mats = _basis_matrices(struct, group)
+    return all(squarefree(linalg.minimal_polynomial(b, struct.p)) for b in mats)
+
+
+def _semisimple_part(b: np.ndarray, p: int) -> np.ndarray:
+    """The semisimple (Jordan-Chevalley) part S of b, as b^(p^j) for the
+    least j with p^j >= n that is a multiple of the period r of Frobenius
+    on b's eigenvalues: the nilpotent part dies once p^j >= n, and
+    S^(p^j) = S iff r divides j.  j = lcm(1..n) would do as well, but
+    p^lcm(1..n) has over 2 * 10^8 bits at n = 20."""
+    x, j = b % p, 0
+    while p**j < len(b):
+        x, j = linalg.mat_pow(x, p, p), j + 1
+    cycle = [x]  # b^(p^j), b^(p^(j+1)), ... until it repeats
+    x = linalg.mat_pow(x, p, p)
+    while (x != cycle[0]).any():
+        cycle.append(x)
+        x = linalg.mat_pow(x, p, p)
+    return cycle[-j % len(cycle)]
 
 
 def is_quasi_inferable(struct: PoissonStructure, group: LozGroup) -> bool:
-    """No nonzero group element is nilpotent on the degree-1 component."""
-    _require_degree_zero(struct, group)
-    for delta in group.elements:
-        if delta.is_zero():
-            continue
-        if linalg.is_nilpotent(delta.matrix(), struct.p):
-            return False
-    return True
+    """No nonzero group element is nilpotent on the degree-1 component.
+
+    The basis commutes, so sum c_i B_i is nilpotent iff the same sum of
+    the semisimple parts S_i vanishes: the S_i must be independent."""
+    mats = _basis_matrices(struct, group)
+    semisimple = [_semisimple_part(b, struct.p).reshape(-1) for b in mats]
+    stack = np.array(semisimple).reshape(len(mats), struct.n**2)
+    return linalg.rank(stack, struct.p) == len(mats)
 
 
 @dataclass
@@ -412,6 +415,28 @@ class DecompositionRelation:
         return acc
 
 
+def _representatives(
+    group: LozGroup, max_degree: int
+) -> list[tuple[Derivation, MultiPoly]]:
+    """Group elements with a normal element of degree <= max_degree
+    realizing them, in ascending key order: the element the search found,
+    else the product of the basis elements' powers f_i^(c_i)."""
+    p, n = group.p, group.n
+    vectors = [((), 0)]  # (c_1, ..., c_j) with sum c_i deg f_i <= max_degree
+    for _, f in group.basis:
+        vectors = [(cs + (c,), d + c * f.degree()) for cs, d in vectors
+                   for c in range(p) if d + c * f.degree() <= max_degree]
+    reps = dict(group.found)
+    rows, one = group._rows(), MultiPoly.const(p, n, 1)
+    for cs, _ in vectors:
+        matrix = np.array(cs, dtype=np.int64) @ rows % p
+        delta = Derivation.from_matrix(p, matrix.reshape(n, n))
+        if delta.key() not in reps:
+            powers = (g**c for c, (_, g) in zip(cs, group.basis))
+            reps[delta.key()] = (delta, prod(powers, start=one))
+    return [rep for _, rep in sorted(reps.items()) if rep[1].degree() <= max_degree]
+
+
 def decomposable_witness(
     struct: PoissonStructure,
     group: LozGroup,
@@ -426,12 +451,7 @@ def decomposable_witness(
     """
     p, n = struct.p, struct.n
     center = center_oracle(struct, max_degree, limits)
-    blocks = []
-    for delta in group.elements:
-        f = group.representative(delta)
-        if f is None:
-            continue
-        blocks.append((delta, f))
+    blocks = _representatives(group, max_degree)
     for m in range(1, max_degree + 1):
         cols = []
         col_info = []

@@ -6,6 +6,7 @@ import pytest
 
 from poismodp.cli import build_parser, main
 from poismodp.deriv import Derivation
+from poismodp.loz import LozGroup
 
 
 @pytest.fixture
@@ -195,32 +196,46 @@ def skew2(tmp_path, p):
 
 
 class TestDefaultDegree:
-    """The default degree bounds (3p for center, 2p for loz) pass the term
-    degree cap 64 from p = 23 and p = 37 on; they are lowered to 63."""
+    """Without --max-degree, center solves up to degree 3p and loz up to
+    2p at every prime: no term degree cap lowers them."""
 
     def test_center_oracle_p23(self, capsys, tmp_path):
         code, data = run_json(
             capsys, ["center", "--algebra", skew2(tmp_path, 23), "--engine", "oracle"])
         assert code == 0
-        assert len(data["hilbert"]) == 64
-        assert "default max degree 69 lowered to 63" in data["notes"][-1]
+        assert len(data["hilbert"]) == 70
+        assert not any("max degree" in note for note in data["notes"])
 
     def test_loz_p37(self, capsys, tmp_path):
         code, data = run_json(
             capsys, ["loz", "--algebra", skew2(tmp_path, 37), "--normal-degree", "1"])
         assert code == 0
-        assert len(data["c_loz_hilbert"]) == 64
-        assert "default max degree 74 lowered to 63" in data["notes"][-1]
+        assert len(data["c_loz_hilbert"]) == 75
+        assert data["notes"] == ["order is a verified lower bound for the full "
+                                 "log-ozone group"]
 
     def test_explicit_degree_not_lowered(self, capsys, tmp_path):
-        assert main(["center", "--algebra", skew2(tmp_path, 23), "--engine", "oracle",
-                     "--max-degree", "69"]) == 2
-        assert "term degree" in capsys.readouterr().err
+        argv = ["center", "--algebra", skew2(tmp_path, 23), "--engine", "oracle"]
+        default = run_json(capsys, argv)
+        assert run_json(capsys, argv + ["--max-degree", "69"]) == default
+
+    def test_engines_agree_on_cyclic_p23(self, capsys, tmp_path):
+        # the box monomial x1^22 x2^22 x3^22 has degree 66
+        path = tmp_path / "cyclic_p23.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 23,
+            "bracket": {"kind": "skew", "matrix": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]},
+        }))
+        code, data = run_json(capsys, ["center", "--algebra", str(path),
+                                       "--engine", "both", "--max-degree", "10"])
+        assert code == 0
+        assert data["hilbert_agree"] is True
 
 
 class TestNoClosure:
-    """`survey` and `loz` without `--predicates` read only the basis and
-    the order of a log-ozone group, so they never sum its elements."""
+    """`survey` and `loz`, with or without `--predicates`, read only the
+    basis and the order of a log-ozone group, so they never sum its
+    elements."""
 
     @pytest.fixture
     def adds(self, monkeypatch):
@@ -244,7 +259,8 @@ class TestNoClosure:
         assert main(argv) == 0
         assert len(adds) == 0
         assert main(argv + ["--predicates"]) == 0
-        assert len(adds) > 0
+        assert "inferable: True quasi_inferable: True" in capsys.readouterr().out
+        assert len(adds) == 0
 
 
 class TestCatalog:
@@ -316,6 +332,25 @@ class TestSurvey:
             ["survey", "--p", "13", "--n", "5", "--cap-candidates", "100"]
         ) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_dimension_must_be_positive(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", "--p", "3", "--n", n])
+        assert exc.value.code == 2
+        assert f"argument --n: must be at least 1, got {n}" in capsys.readouterr().err
+
+    def test_maximal_order_identity(self, capsys, monkeypatch):
+        # |loz| = rk_Z(P) = p^n / |B| for skew structures; an order that
+        # breaks it is reported for every matrix it breaks on
+        monkeypatch.setattr(LozGroup, "order", property(lambda group: 1))
+        code, data = run_json(capsys, ["survey", "--p", "3", "--n", "2"])
+        assert code == 1
+        assert data["problems"] == [
+            f"log-ozone order is not p^n/|B|: {row['upper']}"
+            for row in data["rows"] if row["box_size"] != 9
+        ]
+        assert len(data["problems"]) == 2
+
     def test_cap_reaches_group_search(self, capsys):
         # 5 matrices fit the cap; each degree-1 group search scans 6
         # projective linear forms
@@ -367,6 +402,24 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "--p", "5", "--verify", "--max-degree", "-1"],
+            ["center", "--algebra", "a.json", "--max-degree", "-1"],
+            ["loz", "--algebra", "a.json", "--normal-degree", "-1"],
+            ["loz", "--algebra", "a.json", "--max-degree", "-2"],
+            ["loz", "--algebra", "a.json", "--cap-columns", "-1"],
+            ["survey", "--p", "3", "--cap-candidates", "-1"],
+        ],
+    )
+    def test_rejects_negative_count(self, capsys, argv):
+        # a negative bound is a usage error, not a failed verification
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
 
 GOLDEN_DIR = os.path.join(

@@ -1,6 +1,8 @@
 import itertools
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +14,24 @@ from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
     CapExceeded,
     DegreeBoundTooLarge,
+    InternalCheckFailed,
     Limits,
     NotGraded,
     NotNormal,
     SearchSpaceTooLarge,
     ZeroElement,
 )
-from poismodp.fieldpoly import MultiPoly, format_poly, monomials_of_degree, parse_poly
+from poismodp.fieldpoly import (
+    MultiPoly,
+    format_poly,
+    monomials_of_degree,
+    parse_poly,
+    squarefree,
+)
 from poismodp.loz import (
+    LozGroup,
+    _representatives,
+    _semisimple_part,
     _scan_direct,
     _scan_eigenspaces,
     c_loz,
@@ -298,11 +310,17 @@ class TestGroupLaws:
             log_ozone_group(s, 1)
 
     def test_representatives_are_normal(self):
+        # the witness search's blocks: group elements in ascending key
+        # order, each with a normal element of degree <= max_degree
         s = two_lines(5)
         group = log_ozone_group(s, 2)
-        for delta in group.elements:
-            rep = group.representative(delta)
+        blocks = _representatives(group, 10)
+        keys = [delta.key() for delta, _ in blocks]
+        assert keys == sorted(set(keys))
+        assert len(blocks) > len(group.found)
+        for delta, rep in blocks:
             assert rep is not None
+            assert group.contains(delta) and rep.degree() <= 10
             if delta.is_zero():
                 continue
             assert is_poisson_normal(s, rep)
@@ -434,6 +452,69 @@ class TestPredicates:
         s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 2], [-2, 0]]))
         g = log_ozone_group(s, 1)
         assert is_quasi_inferable(s, g)
+
+
+def enumerated_predicates(s, group):
+    """Inferable and quasi-inferable by testing all p^k group elements."""
+    elements = group.elements
+    assert len(elements) == group.order
+    inferable = all(
+        squarefree(linalg.minimal_polynomial(d.matrix(), s.p)) for d in elements)
+    quasi = not any(
+        linalg.is_nilpotent(d.matrix(), s.p) for d in elements if not d.is_zero())
+    return inferable, quasi
+
+
+def basis_predicates(s, group):
+    """The predicates as the library decides them, with the p^k elements
+    out of reach."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LozGroup, "elements", property(lambda g: pytest.fail("enumerated")))
+        return is_inferable(s, group), is_quasi_inferable(s, group)
+
+
+class TestPredicatesFromBasis:
+    """The predicates read the k basis matrices; they agree with the
+    enumeration of all p^k elements."""
+
+    @pytest.mark.parametrize(
+        "p,name", [(p, f.label) for p in (5, 7) for f in potential_catalog(p)])
+    def test_catalog(self, p, name):
+        s = next(f for f in potential_catalog(p) if f.label == name).structure()
+        group = log_ozone_group(s, 2)
+        assert basis_predicates(s, group) == enumerated_predicates(s, group)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_skew(self, data):
+        p = data.draw(st.sampled_from([3, 5]))
+        n = data.draw(st.integers(2, 4))
+        upper = {(i, j): data.draw(st.integers(0, p - 1))
+                 for i in range(n) for j in range(i + 1, n)}
+        s = from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+        group = log_ozone_group(s, 1)
+        assert basis_predicates(s, group) == enumerated_predicates(s, group)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_semisimple_part(self, data):
+        # the least exponent p^j agrees with p^lcm(1..n)
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+        b = np.array(data.draw(entries), dtype=np.int64).reshape(n, n)
+        reference = linalg.mat_pow(b, p ** math.lcm(*range(1, n + 1)), p)
+        assert (_semisimple_part(b, p) == reference).all()
+
+    def test_non_commuting_basis(self):
+        s = trivial_structure(3, 2)
+        one = MultiPoly.const(3, 2, 1)
+        basis = [(Derivation.from_matrix(3, m), one)
+                 for m in ([[0, 1], [0, 0]], [[0, 0], [1, 0]])]
+        group = LozGroup(p=3, n=2, search_bound=0, basis=basis, found={})
+        for predicate in (is_inferable, is_quasi_inferable):
+            with pytest.raises(InternalCheckFailed, match="does not commute"):
+                predicate(s, group)
 
 
 class TestWitness:

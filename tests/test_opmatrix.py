@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismodp.catalog import potential_catalog
-from poismodp.center import bracket_matrices, center_oracle, multiplication_matrices
+from poismodp.center import (
+    bracket_matrices,
+    center_generators_skew,
+    center_oracle,
+    multiplication_matrices,
+    skew_monoid,
+)
 from poismodp.deriv import Derivation, apply_derivation
-from poismodp.errors import DegreeOverflow
 from poismodp.fieldpoly import (
     MultiPoly,
     monomials_of_degree,
@@ -198,16 +203,17 @@ class TestCoeffMatrix:
         assert coeff_matrix([], monomials_of_degree(3, 2)).shape == (6, 0)
 
 
-class TestDegreeGuard:
+class TestNoDegreeCap:
     def test_skew_2x2_p23(self):
-        # degree-63 sources bracket into degree 64, the cap; one more
-        # degree needs a degree-65 term
-        s = from_skew_matrix(SkewMatrix.from_rows(23, [[0, 1], [-1, 0]]))
-        assert len(center_oracle(s, 63).hilbert) == 64
-        with pytest.raises(DegreeOverflow, match="term degree 65 exceeds cap 64"):
-            center_oracle(s, 64)
+        # degree-64 sources bracket into degree 65; both engines answer
+        c = SkewMatrix.from_rows(23, [[0, 1], [-1, 0]])
+        oracle = center_oracle(from_skew_matrix(c), 64)
+        assert len(oracle.hilbert) == 65
+        assert oracle.hilbert == center_generators_skew(skew_monoid(c), 64).hilbert
 
-    def test_source_above_cap(self):
-        zero = MultiPoly.zero(3, 2)
-        with pytest.raises(DegreeOverflow, match="term degree 65"):
-            derivation_matrix([zero, zero], monomials_of_degree(2, 65), ())
+    def test_source_above_degree_64(self):
+        # the Euler derivation multiplies x^e by its degree 65 = 2 mod 3
+        basis = monomials_of_degree(2, 65)
+        x1, x2 = MultiPoly.gens(3, 2)
+        m = derivation_matrix([x1, x2], basis, basis)
+        assert (m == 2 * np.eye(len(basis), dtype=np.int64)).all()
