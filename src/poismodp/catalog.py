@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fieldpoly import MultiPoly, ff_inv, parse_poly
 from .loz import is_poisson_normal, log_ozone_derivation
-from .structure import PoissonStructure, from_potential
+from .structure import PoissonStructure, from_potential, twist
 
 FORM_IDS = (
     "Cube",
@@ -202,8 +202,6 @@ def modular_potential_pipeline(
         raise SmallCharacteristic("pipeline inverts 3, so p > 3 is required")
     if is_unimodular(struct):
         raise AlreadyUnimodular("structure is already unimodular")
-    from .structure import twist
-
     p = struct.p
     phi = modular_derivation(struct)
     delta = phi * ff_inv(3, p)

@@ -33,11 +33,7 @@ from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 def _ad_matrices(struct: PoissonStructure, src, tgt) -> list[np.ndarray]:
     """Matrices of the derivations ad_{x_i} = {x_i, -} from span(src)
     into span(tgt)."""
-    n = struct.n
-    return [
-        derivation_matrix([struct.entry(i, j) for j in range(n)], src, tgt)
-        for i in range(n)
-    ]
+    return [derivation_matrix(a.images, src, tgt) for a in struct.ad]
 
 
 def bracket_matrices(struct: PoissonStructure, d: int) -> list[np.ndarray]:
@@ -92,7 +88,6 @@ class MonoidData:
     """
 
     c: SkewMatrix
-    kernel_basis: list[tuple[int, ...]]
     B: list[tuple[int, ...]]
     I: list[int]
     J: list[int]
@@ -135,8 +130,7 @@ def skew_monoid(c: SkewMatrix, limits: Limits = Limits()) -> MonoidData:
     I = sorted({i for b in B for i in range(n) if b[i] != 0})
     J = [j for j in range(n) if j not in I]
     u = tuple(1 if i in I else 0 for i in range(n))
-    return MonoidData(c=c, kernel_basis=[tuple(int(x) for x in k) for k in kern],
-                      B=B, I=I, J=J, u=u)
+    return MonoidData(c=c, B=B, I=I, J=J, u=u)
 
 
 def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> CenterReport:

@@ -163,7 +163,7 @@ def _report_text(report: CenterReport) -> list[str]:
 
 
 def _skew_matrix_of(struct) -> SkewMatrix:
-    if struct.provenance.kind != "skew" or struct.provenance.matrix is None:
+    if struct.provenance.matrix is None:
         raise ParseError("this command needs a skew-bracket algebra")
     return struct.provenance.matrix
 

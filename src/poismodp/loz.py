@@ -515,7 +515,7 @@ def theorem212_check(
     group = log_ozone_group(struct, dmax, limits)
     inferable = is_inferable(struct, group)
     notes: tuple[str, ...] = group.notes
-    if struct.provenance.kind == "skew" and struct.provenance.matrix is not None:
+    if struct.provenance.matrix is not None:
         m = skew_monoid(struct.provenance.matrix, limits)
         rank = Fraction(struct.p**struct.n, len(m.B))
         conditions = group.order == rank and inferable

@@ -27,7 +27,7 @@ _ALGEBRA_KEYS = {"schema", "p", "vars", "bracket"}
 _BRACKET_KEYS = {
     "skew": {"kind", "matrix"},
     "potential": {"kind", "omega"},
-    "explicit": {"kind", "pairs", "unchecked"},
+    "explicit": {"kind", "pairs"},
     "ore": {"kind", "base", "alpha", "beta"},
 }
 
@@ -87,9 +87,7 @@ def load_algebra(obj: dict) -> tuple[PoissonStructure, list[str]]:
             if not 0 <= i < j < n:
                 raise ParseError(f"pair indices {pair['i']},{pair['j']} out of range")
             table[(i, j)] = parse_poly(pair["value"], p, n, names)
-        # "unchecked" defers the Jacobi check; negative-test fixtures only
-        check = not bracket.get("unchecked", False)
-        return PoissonStructure(p, n, table, check=check), names
+        return PoissonStructure(p, n, table), names
     # ore
     base, base_names = load_algebra(bracket["base"])
     if base.p != p:
@@ -122,7 +120,7 @@ def dump_algebra(struct: PoissonStructure, var_names=None) -> dict:
     names = list(var_names) if var_names else default_var_names(struct.n)
     obj = {"schema": SCHEMA_VERSION, "p": struct.p, "vars": names}
     prov = struct.provenance
-    if prov.kind == "skew" and prov.matrix is not None:
+    if prov.matrix is not None:
         obj["bracket"] = {
             "kind": "skew",
             "matrix": [list(row) for row in prov.matrix.entries],

@@ -8,15 +8,18 @@ suffices by bilinearity and the Leibniz rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from .deriv import Derivation, is_alpha_derivation, is_poisson_derivation
 from .errors import (
     ArityMismatch,
     JacobiViolation,
     ModulusMismatch,
     ModulusTooLarge,
+    NotAlphaDerivation,
     NotGraded,
+    NotPoissonDerivation,
     NotSkewSymmetric,
     WrongArity,
     require_prime,
@@ -81,14 +84,16 @@ class Provenance:
     kind: str  # skew | potential | ore | explicit | tensor | twist
     matrix: Optional[SkewMatrix] = None
     omega: Optional[MultiPoly] = None
-    base: Optional["PoissonStructure"] = field(default=None, repr=False)
-    extra: tuple = ()
 
 
 class PoissonStructure:
-    """Polynomial Poisson algebra over F_p given by its generator table."""
+    """Polynomial Poisson algebra over F_p given by its generator table.
 
-    __slots__ = ("p", "n", "table", "provenance", "graded")
+    `ad[i]` is the Hamiltonian derivation {x_i, -}: its image of x_j is
+    {x_i, x_j}, so every bracket is read from the table in one place.
+    """
+
+    __slots__ = ("p", "n", "table", "provenance", "graded", "ad")
 
     def __init__(self, p, n, table, provenance=None, check=True):
         require_prime(p)
@@ -97,14 +102,18 @@ class PoissonStructure:
         self.p = p
         self.n = n
         clean = {}
+        zero = MultiPoly.zero(p, n)
+        rows = [[zero] * n for _ in range(n)]
         for (i, j), h in table.items():
             if not (0 <= i < j < n):
                 raise ArityMismatch(f"table key {(i, j)} must satisfy 0 <= i < j < n")
             if h.p != p or h.n != n:
                 raise ModulusMismatch("table entry in the wrong ring")
             if not h.is_zero:
-                clean[(i, j)] = h
+                clean[(i, j)] = rows[i][j] = h
+                rows[j][i] = -h
         self.table = clean
+        self.ad = tuple(Derivation(p, n, row) for row in rows)
         self.provenance = provenance or Provenance(kind="explicit")
         self.graded = all(
             h.is_homogeneous() and h.degree() == 2 for h in clean.values()
@@ -112,15 +121,9 @@ class PoissonStructure:
         if check and not self.check_jacobi():
             raise JacobiViolation("generator table violates the Jacobi identity")
 
-    # -- table access ----------------------------------------------------
-
     def entry(self, i: int, j: int) -> MultiPoly:
-        """{x_i, x_j} with signs handled for any index order."""
-        if i == j:
-            return MultiPoly.zero(self.p, self.n)
-        if i < j:
-            return self.table.get((i, j), MultiPoly.zero(self.p, self.n))
-        return -self.table.get((j, i), MultiPoly.zero(self.p, self.n))
+        """{x_i, x_j} for any index order."""
+        return self.ad[i].images[j]
 
     def gens(self) -> list[MultiPoly]:
         return MultiPoly.gens(self.p, self.n)
@@ -131,39 +134,12 @@ class PoissonStructure:
     # -- the bracket -------------------------------------------------------
 
     def bracket(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        """{f, g} via the biderivation expansion over generator pairs."""
-        if f.p != self.p or g.p != self.p:
-            raise ModulusMismatch("operand in the wrong ring")
-        if f.n != self.n or g.n != self.n:
-            raise ArityMismatch("operand has the wrong number of variables")
-        out = MultiPoly.zero(self.p, self.n)
-        fparts = {}
-        gparts = {}
-        for (i, j), h in self.table.items():
-            if i not in fparts:
-                fparts[i] = f.partial(i)
-                gparts[i] = g.partial(i)
-            if j not in fparts:
-                fparts[j] = f.partial(j)
-                gparts[j] = g.partial(j)
-            cross = fparts[i] * gparts[j] - fparts[j] * gparts[i]
-            if not cross.is_zero:
-                out = out + cross * h
-        return out
+        """{f, g}: f |-> {f, g} is the derivation x_i |-> {x_i, g}."""
+        return Derivation(self.p, self.n, [a(g) for a in self.ad])(f)
 
     def bracket_with_gen(self, i: int, f: MultiPoly) -> MultiPoly:
-        """{x_i, f}; cheaper than the generic path, used in hot loops."""
-        out = MultiPoly.zero(self.p, self.n)
-        for j in range(self.n):
-            if j == i:
-                continue
-            h = self.entry(i, j)
-            if h.is_zero:
-                continue
-            fj = f.partial(j)
-            if not fj.is_zero:
-                out = out + fj * h
-        return out
+        """{x_i, f}."""
+        return self.ad[i](f)
 
     def check_jacobi(self) -> bool:
         """Jacobi identity on all generator triples i < j < k."""
@@ -247,7 +223,7 @@ def tensor(a: PoissonStructure, b: PoissonStructure) -> PoissonStructure:
         table[(i, j)] = h.extend(n)
     for (i, j), h in b.table.items():
         table[(a.n + i, a.n + j)] = h.shift_vars(a.n, n)
-    return PoissonStructure(p, n, table, Provenance(kind="tensor", base=a, extra=(b,)))
+    return PoissonStructure(p, n, table, Provenance(kind="tensor"))
 
 
 def from_ore(a: PoissonStructure, alpha, beta) -> PoissonStructure:
@@ -256,9 +232,6 @@ def from_ore(a: PoissonStructure, alpha, beta) -> PoissonStructure:
     Requires alpha to be a Poisson derivation of A and beta a Poisson
     alpha-derivation; both are checked on generator pairs.
     """
-    from .deriv import is_alpha_derivation, is_poisson_derivation
-    from .errors import NotAlphaDerivation, NotPoissonDerivation
-
     if not is_poisson_derivation(a, alpha):
         raise NotPoissonDerivation("alpha is not a Poisson derivation of the base")
     if not is_alpha_derivation(a, alpha, beta):
@@ -273,17 +246,12 @@ def from_ore(a: PoissonStructure, alpha, beta) -> PoissonStructure:
         img = alpha.images[i].extend(n) * t + beta.images[i].extend(n)
         if not img.is_zero:
             table[(i, n - 1)] = img
-    return PoissonStructure(
-        p, n, table, Provenance(kind="ore", base=a, extra=(alpha, beta))
-    )
+    return PoissonStructure(p, n, table, Provenance(kind="ore"))
 
 
 def twist(struct: PoissonStructure, delta) -> PoissonStructure:
     """Bracket twist {a,b} + E(a) delta(b) - delta(a) E(b) for graded input
     and a graded degree-0 Poisson derivation delta."""
-    from .deriv import is_poisson_derivation
-    from .errors import NotPoissonDerivation
-
     if not struct.graded:
         raise NotGraded("twists are defined for graded structures only")
     if not delta.is_graded_degree_zero():
@@ -298,6 +266,4 @@ def twist(struct: PoissonStructure, delta) -> PoissonStructure:
             h = struct.entry(i, j) + xs[i] * delta.images[j] - delta.images[i] * xs[j]
             if not h.is_zero:
                 table[(i, j)] = h
-    return PoissonStructure(
-        p, n, table, Provenance(kind="twist", base=struct, extra=(delta,))
-    )
+    return PoissonStructure(p, n, table, Provenance(kind="twist"))

@@ -93,6 +93,23 @@ class TestCenter:
     def test_missing_file(self, capsys):
         assert main(["center", "--algebra", "/nonexistent.json"]) == 2
 
+    def test_unchecked_field_rejected(self, capsys, tmp_path):
+        # {x1,x2} = x2, {x2,x3} = x1 violates Jacobi; the file may not
+        # ask to skip the check
+        path = tmp_path / "not_poisson.json"
+        path.write_text(json.dumps({
+            "p": 5,
+            "vars": ["x1", "x2", "x3"],
+            "bracket": {
+                "kind": "explicit",
+                "unchecked": True,
+                "pairs": [{"i": 1, "j": 2, "value": "x2"},
+                          {"i": 2, "j": 3, "value": "x1"}],
+            },
+        }))
+        assert main(["center", "--algebra", str(path)]) == 2
+        assert "unchecked" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys, circulant_p3):
         argv = ["center", "--algebra", circulant_p3, "--max-degree", "6",
                 "--engine", "both", "--format", "json"]

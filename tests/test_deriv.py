@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from poismodp.deriv import (
@@ -87,16 +89,16 @@ class TestModularDerivation:
             assert modular_derivation(s).is_zero()
             assert is_unimodular(s)
 
-    def test_skew_fast_path_matches_generic(self):
-        import itertools
-
-        p = 3
-        for upper in itertools.product(range(p), repeat=3):
-            c = SkewMatrix.from_upper(
-                p, 3, {(0, 1): upper[0], (0, 2): upper[1], (1, 2): upper[2]}
-            )
-            s = from_skew_matrix(c)
-            assert is_unimodular(s) == modular_derivation(s).is_zero()
+    def test_unimodular_iff_row_sums_vanish(self):
+        # every 3x3 skew matrix at p = 3 and 5 and every 4x4 at p = 3: the
+        # definition agrees with the paper's row-sum criterion
+        for p, n in [(3, 3), (5, 3), (3, 4)]:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for upper in itertools.product(range(p), repeat=len(pairs)):
+                c = SkewMatrix.from_upper(p, n, dict(zip(pairs, upper)))
+                assert is_unimodular(from_skew_matrix(c)) == all(
+                    s == 0 for s in c.row_sums()
+                )
 
     def test_circulant_unimodular(self):
         c = SkewMatrix.from_rows(5, [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])

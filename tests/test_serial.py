@@ -89,9 +89,10 @@ class TestLoad:
 
         with pytest.raises(JacobiViolation):
             load_algebra(obj)
+        # there is no file-level way to skip the check
         obj["bracket"]["unchecked"] = True
-        struct, _ = load_algebra(obj)
-        assert not struct.check_jacobi()
+        with pytest.raises(ParseError, match="unknown fields"):
+            load_algebra(obj)
 
     def test_unknown_field_rejected(self):
         obj = skew_obj()

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismodp import linalg
-from poismodp.deriv import Derivation, euler, modular_derivation
+from poismodp.deriv import (
+    Derivation,
+    euler,
+    is_alpha_derivation,
+    is_poisson_derivation,
+    modular_derivation,
+)
 from poismodp.errors import (
     JacobiViolation,
     ModulusMismatch,
@@ -13,7 +21,8 @@ from poismodp.errors import (
     NotSkewSymmetric,
     WrongArity,
 )
-from poismodp.fieldpoly import MultiPoly, parse_poly
+from poismodp.fieldpoly import MultiPoly, monomials_of_degree, parse_poly
+from poismodp.loz import pder0_matrix_space
 from poismodp.structure import (
     SkewMatrix,
     explicit_structure,
@@ -30,6 +39,79 @@ from conftest import random_poly
 
 def jordan_plane(p):
     return explicit_structure(p, 2, {(0, 1): parse_poly("x1^2", p, 2)})
+
+
+def draw_poly(data, p, n, degree, max_terms=4):
+    """A polynomial of degree <= `degree` with at most `max_terms` terms."""
+    monos = [e for d in range(degree + 1) for e in monomials_of_degree(n, d)]
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), st.integers(0, p - 1),
+                                      max_size=max_terms))
+    return MultiPoly(p, n, terms)
+
+
+def draw_skew(data, p, n):
+    upper = {(i, j): data.draw(st.integers(0, p - 1))
+             for i in range(n) for j in range(i + 1, n)}
+    return from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+
+
+def draw_cubic_potential(data, p):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+    return from_potential(MultiPoly(p, 3, dict(zip(monomials_of_degree(3, 3), coeffs))))
+
+
+def draw_structure(data, p):
+    """Skew, potential, Jordan plane, non-graded explicit, Ore or tensor."""
+    kind = data.draw(st.sampled_from(
+        ["skew", "potential", "jordan", "explicit", "ore", "tensor"]))
+    if kind == "skew":
+        return draw_skew(data, p, data.draw(st.integers(2, 4)))
+    if kind == "potential":
+        return from_potential(draw_poly(data, p, 3, 4))
+    if kind == "jordan":
+        return jordan_plane(p)
+    if kind == "explicit":
+        # every table on two variables satisfies Jacobi; the Heisenberg
+        # bracket {x1, x2} = x3 is linear
+        if data.draw(st.booleans()):
+            return explicit_structure(p, 3, {(0, 1): MultiPoly.variable(p, 3, 2)})
+        return explicit_structure(p, 2, {(0, 1): draw_poly(data, p, 2, 3)})
+    if kind == "ore":
+        # {x_i, t} = a x_i t + beta(x_i): Euler is a Poisson derivation of a
+        # graded base and beta = 0 is an alpha-derivation; on k[x] every
+        # pair (alpha, beta) is allowed
+        if data.draw(st.booleans()):
+            base = draw_skew(data, p, 2)
+            alpha = euler(base) * data.draw(st.integers(0, p - 1))
+            return from_ore(base, alpha, Derivation.zero(p, 2))
+        base = trivial_structure(p, 1)
+        alpha, beta = (Derivation(p, 1, [draw_poly(data, p, 1, 2)]) for _ in "ab")
+        return from_ore(base, alpha, beta)
+    left = data.draw(st.sampled_from(["skew", "jordan"]))
+    a = draw_skew(data, p, 2) if left == "skew" else jordan_plane(p)
+    return tensor(a, jordan_plane(p))
+
+
+def pairwise_bracket(s, f, g):
+    """sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) {x_i, x_j}, read from
+    the upper-triangle table."""
+    out = MultiPoly.zero(s.p, s.n)
+    for (i, j), h in s.table.items():
+        out = out + (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)) * h
+    return out
+
+
+def pairwise_alpha_derivation(s, alpha, beta):
+    """The alpha-derivation identity on generator pairs, through the general
+    pairwise bracket; alpha = 0 gives the Poisson-derivation identity."""
+    xs, a, b = s.gens(), alpha.images, beta.images
+    return all(
+        beta(pairwise_bracket(s, xs[i], xs[j]))
+        == pairwise_bracket(s, b[i], xs[j]) + pairwise_bracket(s, xs[i], b[j])
+        + a[i] * b[j] - b[i] * a[j]
+        for i in range(s.n)
+        for j in range(i + 1, s.n)
+    )
 
 
 class TestSkewMatrix:
@@ -179,6 +261,38 @@ class TestBracket:
             assert central == all(e.is_zero for e in eqs)
 
 
+class TestHamiltonianDerivations:
+    """The bracket as the derivations ad_i = {x_i, -} against the pairwise
+    biderivation formula over the upper-triangle table."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_pairwise_formula(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        s = draw_structure(data, p)
+        n, xs = s.n, s.gens()
+        f, g = (draw_poly(data, p, n, 3) for _ in "fg")
+        assert s.bracket(f, g) == pairwise_bracket(s, f, g)
+        for i in range(n):
+            assert s.bracket_with_gen(i, f) == pairwise_bracket(s, xs[i], f)
+            for j in range(n):
+                assert s.entry(i, j) == pairwise_bracket(s, xs[i], xs[j])
+
+        # Poisson derivations (Hamiltonian, modular, Euler when graded) and
+        # maps that mostly are not
+        hamiltonian = Derivation(p, n, [s.bracket(x, f) for x in xs])
+        candidates = [hamiltonian, modular_derivation(s), euler(s),
+                      Derivation(p, n, [draw_poly(data, p, n, 2) for _ in xs])]
+        candidates.append(candidates[-1] + hamiltonian)
+        zero = Derivation.zero(p, n)
+        for d in candidates:
+            assert is_poisson_derivation(s, d) == pairwise_alpha_derivation(s, zero, d)
+        alpha = data.draw(st.sampled_from(candidates))
+        for beta in candidates + [zero]:
+            assert is_alpha_derivation(s, alpha, beta) == pairwise_alpha_derivation(
+                s, alpha, beta)
+
+
 class TestTensor:
     def test_trivial_tensor_trivial(self):
         t = tensor(trivial_structure(5, 1), trivial_structure(5, 2))
@@ -260,6 +374,20 @@ class TestTwist:
             SkewMatrix.from_rows(p, [[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
         )
         delta = modular_derivation(s) * pow(3, -1, p)
+        assert twist(twist(s, delta), -delta).table == s.table
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_twist_involution_random(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        if data.draw(st.booleans()):
+            s = draw_skew(data, p, data.draw(st.integers(2, 4)))
+        else:
+            s = draw_cubic_potential(data, p)
+        mat = np.zeros((s.n, s.n), dtype=np.int64)
+        for m in pder0_matrix_space(s):
+            mat = mat + data.draw(st.integers(0, p - 1)) * m
+        delta = Derivation.from_matrix(p, mat)
         assert twist(twist(s, delta), -delta).table == s.table
 
     def test_requires_graded(self):
