@@ -30,29 +30,29 @@ from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 # ---------------------------------------------------------------------
 
 
-def _ad_matrices(struct: PoissonStructure, src, tgt) -> list[np.ndarray]:
-    """Matrices of the derivations ad_{x_i} = {x_i, -} from span(src)
-    into span(tgt)."""
-    return [derivation_matrix(a.images, src, tgt) for a in struct.ad]
-
-
-def bracket_matrices(struct: PoissonStructure, d: int) -> list[np.ndarray]:
-    """For graded structures: matrices of f |-> {x_i, f} from A_d to A_{d+1}."""
+def bracket_matrices(struct: PoissonStructure, d: int) -> np.ndarray:
+    """For graded structures: the n x |A_{d+1}| x |A_d| array whose i-th
+    matrix is f |-> {x_i, f} from A_d to A_{d+1}."""
     n = struct.n
-    return _ad_matrices(struct, monomials_of_degree(n, d), monomials_of_degree(n, d + 1))
+    return derivation_matrix([a.images for a in struct.ad],
+                             monomials_of_degree(n, d), monomials_of_degree(n, d + 1))
 
 
 @lru_cache(maxsize=None)
-def multiplication_matrices(p: int, n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Matrices of f |-> x_j f from A_d to A_{d+1}."""
+def multiplication_matrices(p: int, n: int, d: int) -> np.ndarray:
+    """The n x |A_{d+1}| x |A_d| array whose j-th matrix is f |-> x_j f
+    from A_d to A_{d+1}.  Cached, so read-only: every caller gets the
+    same array."""
     src = monomials_of_degree(n, d)
     tgt = monomials_of_degree(n, d + 1)
-    return tuple(
+    m = np.stack([
         coeff_matrix(
             [MultiPoly(p, n, {e[:j] + (e[j] + 1,) + e[j + 1 :]: 1}) for e in src], tgt
         )
         for j in range(n)
-    )
+    ])
+    m.flags.writeable = False
+    return m
 
 
 # ---------------------------------------------------------------------
@@ -120,13 +120,8 @@ def skew_monoid(c: SkewMatrix, limits: Limits = Limits()) -> MonoidData:
     mat = np.array(c.entries, dtype=np.int64) % p
     kern = linalg.nullspace(mat, p)
     limits.check("kernel", p ** len(kern), "kernel vectors")
-    box = set()
-    for coeffs in itertools.product(range(p), repeat=len(kern)):
-        v = np.zeros(n, dtype=np.int64)
-        for a, k in zip(coeffs, kern):
-            v = (v + a * k) % p
-        box.add(tuple(int(x) for x in v))
-    B = sorted(box)
+    box = linalg.span(np.reshape(kern, (len(kern), n)), p)
+    B = sorted(set(map(tuple, box.tolist())))
     I = sorted({i for b in B for i in range(n) if b[i] != 0})
     J = [j for j in range(n) if j not in I]
     u = tuple(1 if i in I else 0 for i in range(n))
@@ -334,15 +329,14 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
 
 def graded_kernel(p: int, n: int, max_degree: int, operators, limits: Limits):
     """Hilbert function and graded basis of the joint kernel of the maps
-    `operators(d)` on A_d, degree by degree up to max_degree; with no
-    maps, the kernel is all of A_d."""
+    on A_d = span(src) stacked in the array `operators(d, src)`, degree
+    by degree up to max_degree; with no maps, the kernel is all of A_d."""
     hilbert = []
     graded_basis: dict[int, list[MultiPoly]] = {}
     for d in range(max_degree + 1):
         src = monomials_of_degree(n, d)
         limits.check("columns", len(src), f"columns at degree {d}")
-        empty = np.zeros((0, len(src)), dtype=np.int64)
-        kernel = linalg.nullspace(np.vstack([empty, *operators(d)]), p)
+        kernel = linalg.nullspace(operators(d, src).reshape(-1, len(src)), p)
         graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
         hilbert.append(len(kernel))
     return hilbert, graded_basis
@@ -362,7 +356,7 @@ def center_oracle(
         return _center_oracle_filtered(struct, max_degree, limits)
     p, n = struct.p, struct.n
     hilbert, graded_basis = graded_kernel(
-        p, n, max_degree, lambda d: bracket_matrices(struct, d), limits
+        p, n, max_degree, lambda d, src: bracket_matrices(struct, d), limits
     )
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
@@ -382,20 +376,15 @@ def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
     limits.check("columns", len(src), "filtration columns")
     hmax = max((h.degree() for h in struct.table.values()), default=0)
     tgt = monomials_upto_degree(n, max_degree + max(hmax - 1, 0))
-    kernel = linalg.nullspace(np.vstack(_ad_matrices(struct, src, tgt)), p)
+    ops = derivation_matrix([a.images for a in struct.ad], src, tgt)
+    kernel = linalg.nullspace(ops.reshape(-1, len(src)), p)
     basis_polys = [vec_to_poly(v, p, n, src) for v in kernel]
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d
     degrees = np.array([sum(e) for e in src])
-    mat = np.stack(kernel) if kernel else np.zeros((0, len(src)), dtype=np.int64)
-    hilbert = []
-    for d in range(max_degree + 1):
-        high = np.nonzero(degrees > d)[0]
-        if high.size:
-            inside = len(kernel) - linalg.rank(mat[:, high], p)
-        else:
-            inside = len(kernel)
-        hilbert.append(inside)
+    mat = np.reshape(kernel, (len(kernel), len(src)))
+    hilbert = [len(kernel) - linalg.rank(mat[:, degrees > d], p)
+               for d in range(max_degree + 1)]
     return CenterReport(
         engine="oracle",
         generators=[f for f in basis_polys if not f.is_constant()],

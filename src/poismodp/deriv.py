@@ -82,7 +82,7 @@ class Derivation:
         if not self.is_graded_degree_zero():
             raise ArityMismatch("matrix form needs a graded degree-0 derivation")
         basis = monomials_of_degree(self.n, d)
-        return derivation_matrix(self.images, basis, basis)
+        return derivation_matrix([self.images], basis, basis)[0]
 
     def key(self) -> tuple:
         if self._key is None:

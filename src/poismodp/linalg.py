@@ -11,7 +11,7 @@ dense `rref`.  The operator matrices of the center engines are very
 sparse and fall apart into thousands of such blocks.
 
 Polynomials and matrices on a monomial basis meet only here:
-`coeff_matrix` and `derivation_matrix` fill matrices from polynomial
+`coeff_matrix` and `derivation_matrix` fill whole arrays from polynomial
 terms, and `vec_to_poly` reads a vector back.
 """
 
@@ -35,35 +35,41 @@ def coeff_matrix(polys, basis) -> np.ndarray:
     return m
 
 
-def derivation_matrix(images, src, tgt) -> np.ndarray:
-    """Matrix of the derivation x_j |-> images[j] from span(src) into
-    span(tgt), computed on exponents:
+def derivation_matrix(derivations, src, tgt) -> np.ndarray:
+    """Matrices of the derivations x_j |-> images[j], one per image list
+    in `derivations`, from span(src) into span(tgt), as one
+    (len(derivations), len(tgt), len(src)) array, computed on exponents:
     delta(x^e) = sum_j e_j x^(e - eps_j) images[j].
 
     The sources are one int64 exponent array; each image term shifts the
     sources with e_j != 0 mod p, and one lookup finds all target rows.
     """
-    exps = _exponent_table(tuple(src), len(images))[0]
-    m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    targets, cols, vals = [], [], []
-    for j, g in enumerate(images):
-        if g.is_zero:
-            continue
-        p = g.p
-        ej = exps[:, j] % p
-        hit = np.flatnonzero(ej)
-        # (row, column) pairs are distinct for one j: the shifts differ
-        for ge, c in g.terms.items():
-            shift = np.array(ge, dtype=np.int64)
-            shift[j] -= 1
-            targets.append(exps[hit] + shift)
-            cols.append(hit)
-            vals.append(ej[hit] * c)
+    m = np.zeros((len(derivations), len(tgt), len(src)), dtype=np.int64)
+    if not derivations:
+        return m
+    exps = _exponent_table(tuple(src), len(derivations[0]))[0]
+    mats, targets, cols, vals = [], [], [], []
+    for k, images in enumerate(derivations):
+        for j, g in enumerate(images):
+            if g.is_zero:
+                continue
+            p = g.p
+            ej = exps[:, j] % p
+            hit = np.flatnonzero(ej)
+            # (row, column) pairs are distinct for one (k, j): the shifts differ
+            for ge, c in g.terms.items():
+                shift = np.array(ge, dtype=np.int64)
+                shift[j] -= 1
+                mats.append(np.full(len(hit), k))
+                targets.append(exps[hit] + shift)
+                cols.append(hit)
+                vals.append(ej[hit] * c)
     if targets:
-        cells = _row_index(tgt, np.concatenate(targets)), np.concatenate(cols)
+        cells = (np.concatenate(mats), _row_index(tgt, np.concatenate(targets)),
+                 np.concatenate(cols))
         # each cell sums at most n products below p^2: exact in int64.
         # Only the cells written are reduced, so the untouched pages of
-        # the zero matrix stay unallocated.
+        # the zero array stay unallocated.
         np.add.at(m, cells, np.concatenate(vals))
         m[cells] %= p
     return m
@@ -107,6 +113,19 @@ def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
     terms = {basis[k]: int(v[k]) for k in np.flatnonzero(v)}
     out = MultiPoly(p, n)
     out.terms = terms
+    return out
+
+
+def span(vectors, p: int) -> np.ndarray:
+    """Every F_p-combination of the rows of `vectors`, one row each, in
+    the itertools.product order of the coefficient vectors (the first
+    coefficient most significant): built one coefficient at a time, so
+    the p^k x k table of coefficients is never made."""
+    out = np.zeros((1, vectors.shape[1]), dtype=np.int64)
+    for v in vectors:
+        out = out[:, None, :] + np.multiply.outer(np.arange(p), v)
+        np.remainder(out, p, out=out)
+        out = out.reshape(len(out) * p, len(v))
     return out
 
 

@@ -29,6 +29,7 @@ from .center import (
 )
 from .deriv import Derivation
 from .errors import (
+    ArityMismatch,
     InternalCheckFailed,
     Limits,
     NotGraded,
@@ -44,7 +45,7 @@ from .fieldpoly import (
     monomials_upto_degree,
     squarefree,
 )
-from .linalg import coeff_matrix, vec_to_poly
+from .linalg import coeff_matrix, derivation_matrix, vec_to_poly
 from .structure import PoissonStructure
 
 
@@ -94,7 +95,7 @@ def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
     """
     p, n = struct.p, struct.n
     xs = struct.gens()
-    blocks = [np.zeros((0, n * n), dtype=np.int64)]
+    residuals = []  # per pair i < j, the coefficient polynomials of D
     for i in range(n):
         for j in range(i + 1, n):
             h = struct.entry(i, j)
@@ -110,9 +111,11 @@ def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
                     if a == j:
                         k = k - struct.entry(i, b)
                     coeff_polys.append(k)
-            monos = sorted({e for kk in coeff_polys for e in kk.terms})
-            blocks.append(coeff_matrix(coeff_polys, monos))
-    return [v.reshape(n, n) for v in linalg.nullspace(np.vstack(blocks), p)]
+            residuals.append(coeff_polys)
+    # one block of rows per pair, on the monomials of all pairs
+    monos = sorted({e for polys in residuals for k in polys for e in k.terms})
+    system = np.array([coeff_matrix(polys, monos) for polys in residuals], dtype=np.int64)
+    return [v.reshape(n, n) for v in linalg.nullspace(system.reshape(-1, n * n), p)]
 
 
 def _scan_direct(struct, d, homogeneous, limits):
@@ -133,27 +136,16 @@ def _scan_direct(struct, d, homogeneous, limits):
     return found
 
 
-def _block(bracket, mults, row, p):
-    """Block B_i - sum_j row[j] M_j of the system for a delta whose row i is row."""
-    return (bracket - np.tensordot(row, mults, 1)) % p
+def _block(brackets, mults, rows, p):
+    """The system B_i - sum_j rows[i, j] M_j of a delta with matrix `rows`,
+    its blocks stacked in order of i; given B_i and row i alone, block i."""
+    return ((brackets - np.tensordot(rows, mults, 1)) % p).reshape(-1, mults.shape[-1])
 
 
 def _digits(index, p, k):
     """The base-p digits, most significant first, of flat candidate
     indices: their coefficient vectors in itertools.product order."""
     return np.asarray(index)[..., None] // p ** np.arange(k - 1, -1, -1) % p
-
-
-def _combinations(vectors, p):
-    """Every F_p-combination of the rows of `vectors`, one row each, in
-    the order of `_digits`: built one coefficient at a time, so the
-    p^k x k table of coefficients is never made."""
-    out = np.zeros((1, vectors.shape[1]), dtype=np.int64)
-    for v in vectors:
-        out = out[:, None, :] + np.multiply.outer(np.arange(p), v)
-        np.remainder(out, p, out=out)
-        out = out.reshape(len(out) * p, len(v))
-    return out
 
 
 def _scan_eigenspaces(struct, d, pder0, limits):
@@ -176,7 +168,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     limits.check("candidates", p**k, f"derivation candidates at degree {d}")
     src = monomials_of_degree(n, d)
     brackets = bracket_matrices(struct, d)
-    mults = np.stack(multiplication_matrices(p, n, d))
+    mults = multiplication_matrices(p, n, d)
     basis = np.array(pder0, dtype=np.int64).reshape(k, n, n)
     # candidate g is the coefficient vector _digits(g) of itertools.product
     # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
@@ -185,7 +177,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     for i in range(n):
         rows = basis[:, i, :]  # row i of every basis derivation
         cols = linalg.rref(rows, p)[1]  # a row value is fixed by these entries
-        codes = _combinations(rows[:, cols], p) @ p ** np.arange(len(cols))
+        codes = linalg.span(rows[:, cols], p) @ p ** np.arange(len(cols))
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         dead = [u for u, row in enumerate(_digits(first, p, k) @ rows % p)
                 if not linalg.nullspace(_block(brackets[i], mults, row, p), p)]
@@ -194,8 +186,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     elements = 0
     for g in np.flatnonzero(alive):
         D = np.tensordot(_digits(g, p, k), basis, 1) % p
-        blocks = [_block(b, mults, row, p) for b, row in zip(brackets, D)]
-        kernel = linalg.nullspace(np.vstack(blocks), p)
+        kernel = linalg.nullspace(_block(brackets, mults, D, p), p)
         if not kernel:
             continue
         elements += (p ** len(kernel) - 1) // (p - 1)
@@ -203,10 +194,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
         delta = Derivation.from_matrix(p, D)
         kmat = np.stack(kernel)
         for combo in iter_projective_vectors(p, len(kernel)):
-            vec = np.zeros(len(src), dtype=np.int64)
-            for c, kv in zip(combo, kmat):
-                vec = (vec + c * kv) % p
-            f = vec_to_poly(vec, p, n, src).monic()
+            f = vec_to_poly(np.array(combo) @ kmat % p, p, n, src).monic()
             found.append((f, delta))
     return found
 
@@ -280,7 +268,7 @@ class LozGroup:
     def elements(self) -> list[Derivation]:
         """All p^k elements, one per F_p-combination of the basis."""
         return [Derivation.from_matrix(self.p, row.reshape(self.n, self.n))
-                for row in _combinations(self._rows(), self.p)]
+                for row in linalg.span(self._rows(), self.p)]
 
     def contains(self, delta: Derivation) -> bool:
         if (delta.p, delta.n) != (self.p, self.n) or not delta.is_graded_degree_zero():
@@ -299,23 +287,19 @@ def log_ozone_group(
     p, n = struct.p, struct.n
     pairs = enumerate_normal(struct, dmax, limits)
 
-    basis: list[tuple[Derivation, MultiPoly]] = []
-    span = np.zeros((0, n * n), dtype=np.int64)
     zero = Derivation.zero(p, n)
     found = {zero.key(): (zero, MultiPoly.const(p, n, 1))}
     for f, delta in pairs:
-        if delta.key() in found:  # tested already
-            continue
-        found[delta.key()] = (delta, f)
-        grown = np.vstack([span, delta.matrix().reshape(-1)])
-        if linalg.rank(grown, p) > len(basis):  # the rows of span are independent
-            basis.append((delta, f))
-            span = grown
+        found.setdefault(delta.key(), (delta, f))
+    met = list(found.values())[1:]  # the nonzero derivations, in the order met
+    stack = np.reshape([delta.matrix().reshape(-1) for delta, _ in met], (len(met), n * n))
+    # a column is a pivot iff it is independent of the columns before it
+    pivots = linalg.rref(stack.T, p)[1]
     return LozGroup(
         p=p,
         n=n,
         search_bound=dmax,
-        basis=basis,
+        basis=[met[c] for c in pivots],
         found=found,
         notes=("order is a verified lower bound for the full log-ozone group",),
     )
@@ -326,10 +310,12 @@ def c_loz(
 ) -> CenterReport:
     """Degreewise basis of the joint kernel of every derivation in the
     group; contains the Poisson center degreewise."""
+    if not all(delta.is_graded_degree_zero() for delta, _ in group.basis):
+        raise ArityMismatch("matrix form needs a graded degree-0 derivation")
+    images = [delta.images for delta, _ in group.basis]
     hilbert, graded_basis = graded_kernel(
         struct.p, struct.n, max_degree,
-        lambda d: [delta.matrix_on_degree(d) for delta, _ in group.basis],
-        limits,
+        lambda d, src: derivation_matrix(images, src, src), limits,
     )
     return CenterReport(
         engine="loz-kernel",
@@ -496,7 +482,7 @@ class MaximalOrderReport:
     order: int
     inferable: bool
     is_skew: bool
-    rank: Optional[str]
+    rank: str
     rank_exact: bool
     conditions_hold: Optional[bool]
     notes: tuple[str, ...] = ()
@@ -511,49 +497,33 @@ def theorem212_check(
     Otherwise the rank is the oracle's estimate, and `conditions_hold`
     is None when that estimate is non-integral or may be unstable,
     unless a non-diagonalizable group element already makes it False.
+    Raises NotGraded, from the group search, on non-graded input.
     """
     group = log_ozone_group(struct, dmax, limits)
     inferable = is_inferable(struct, group)
-    notes: tuple[str, ...] = group.notes
-    if struct.provenance.matrix is not None:
-        m = skew_monoid(struct.provenance.matrix, limits)
-        rank = Fraction(struct.p**struct.n, len(m.B))
+    skew = struct.provenance.matrix
+    if skew is not None:
+        rank = Fraction(struct.p**struct.n, len(skew_monoid(skew, limits).B))
+        rank_notes: tuple[str, ...] = ()
         conditions = group.order == rank and inferable
-        return MaximalOrderReport(
-            order=group.order,
-            inferable=inferable,
-            is_skew=True,
-            rank=str(rank),
-            rank_exact=rank.denominator == 1,
-            conditions_hold=conditions,
-            notes=notes,
-        )
-    center = center_oracle(struct, max_degree, limits)
-    if center.graded_basis is None:
-        return MaximalOrderReport(
-            order=group.order,
-            inferable=inferable,
-            is_skew=False,
-            rank=None,
-            rank_exact=False,
-            conditions_hold=None,
-            notes=notes + ("rank unavailable for non-graded structures",),
-        )
-    sub_bases = {d: list(bs) for d, bs in center.graded_basis.items()}
-    rank, rank_notes = rank_over_subring(struct.p, struct.n, sub_bases, max_degree)
-    if not inferable:
-        conditions = False
-    elif rank.denominator != 1 or UNSTABLE_RANK_NOTE in rank_notes:
-        # an unsettled rank estimate decides nothing
-        conditions = None
     else:
-        conditions = group.order == rank
+        center = center_oracle(struct, max_degree, limits)
+        rank, rank_notes = rank_over_subring(
+            struct.p, struct.n, center.graded_basis, max_degree
+        )
+        if not inferable:
+            conditions = False
+        elif rank.denominator != 1 or UNSTABLE_RANK_NOTE in rank_notes:
+            # an unsettled rank estimate decides nothing
+            conditions = None
+        else:
+            conditions = group.order == rank
     return MaximalOrderReport(
         order=group.order,
         inferable=inferable,
-        is_skew=False,
+        is_skew=skew is not None,
         rank=str(rank),
         rank_exact=rank.denominator == 1,
         conditions_hold=conditions,
-        notes=notes + rank_notes,
+        notes=group.notes + rank_notes,
     )

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poismodp import linalg
 from poismodp.center import (
     center_generators_skew,
     center_oracle,
@@ -70,6 +72,28 @@ class TestSkewMonoid:
     def test_kernel_cap(self):
         with pytest.raises(CapExceeded):
             skew_monoid(SkewMatrix.from_rows(3, [[0, 0], [0, 0]]), Limits(kernel=5))
+
+
+def box_by_vector_loop(c):
+    """Reference for the box: the kernel's combinations summed one
+    vector at a time."""
+    p, n = c.p, c.n
+    kern = linalg.nullspace(np.array(c.entries, dtype=np.int64) % p, p)
+    box = set()
+    for coeffs in itertools.product(range(p), repeat=len(kern)):
+        v = np.zeros(n, dtype=np.int64)
+        for a, k in zip(coeffs, kern):
+            v = (v + a * k) % p
+        box.add(tuple(int(x) for x in v))
+    return sorted(box)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (3, 4)])
+def test_box_matches_vector_loop_exhaustively(p, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for upper in itertools.product(range(p), repeat=len(pairs)):
+        c = SkewMatrix.from_upper(p, n, dict(zip(pairs, upper)))
+        assert skew_monoid(c).B == box_by_vector_loop(c), upper
 
 
 class TestGorenstein:

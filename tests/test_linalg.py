@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -186,3 +187,23 @@ class TestBlockSplit:
         assert linalg.rank(a, 5) == 3
         assert [v.tolist() for v in linalg.nullspace(a, 5)] == [
             [0, 0, 1, 0, 0, 0], [3, 0, 0, 1, 0, 0], [0, 3, 0, 0, 1, 0]]
+
+
+class TestSpan:
+    """`span` lists every F_p-combination in itertools.product order of
+    the coefficient vectors."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(1, 4))
+    def test_product_order(self, data, p, k, m):
+        rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+                                  min_size=k, max_size=k))
+        vectors = np.array(rows, dtype=np.int64).reshape(k, m)
+        reference = [
+            sum((a * v for a, v in zip(coeffs, vectors)), np.zeros(m, dtype=np.int64)) % p
+            for coeffs in itertools.product(range(p), repeat=k)
+        ]
+        assert linalg.span(vectors, p).tolist() == [v.tolist() for v in reference]
+
+    def test_no_vectors(self):
+        assert linalg.span(np.zeros((0, 3), dtype=np.int64), 5).tolist() == [[0, 0, 0]]

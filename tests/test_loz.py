@@ -12,6 +12,7 @@ from poismodp.catalog import potential_catalog
 from poismodp.center import UNSTABLE_RANK_NOTE, center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
+    ArityMismatch,
     CapExceeded,
     DegreeBoundTooLarge,
     InternalCheckFailed,
@@ -347,6 +348,46 @@ def p5_structure(name):
     return next(f for f in potential_catalog(5) if f.label == name).structure()
 
 
+def rank_loop_basis(struct, dmax):
+    """Reference for the group basis: each derivation in the order the
+    search meets it, kept when it raises the rank of those kept."""
+    p, n = struct.p, struct.n
+    basis, span = [], np.zeros((0, n * n), dtype=np.int64)
+    seen = {Derivation.zero(p, n).key()}
+    for f, delta in enumerate_normal(struct, dmax):
+        if delta.key() in seen:
+            continue
+        seen.add(delta.key())
+        grown = np.vstack([span, delta.matrix().reshape(-1)])
+        if linalg.rank(grown, p) > len(basis):
+            basis.append((delta, f))
+            span = grown
+    return basis
+
+
+class TestGroupBasis:
+    """One elimination over the derivations met keeps the same basis as
+    a rank test per derivation."""
+
+    def test_matches_rank_loop(self, rng):
+        # skew brackets on 1 to 4 variables, and potentials of 1 to 3
+        # cubic terms, whose groups are rarely trivial
+        for _ in range(40):
+            p = rng.choice([3, 5])
+            if rng.random() < 0.5:
+                n = rng.randint(1, 4)
+                upper = {(i, j): rng.randrange(p) for i in range(n) for j in range(i + 1, n)}
+                s = from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+            else:
+                terms = {e: rng.randrange(1, p) for e in
+                         rng.sample(monomials_of_degree(3, 3), rng.randint(1, 3))}
+                s = from_potential(MultiPoly(p, 3, terms))
+            dmax = rng.randint(1, 2 if s.n <= 3 else 1)
+            group = log_ozone_group(s, dmax)
+            assert [(d.key(), f.key()) for d, f in group.basis] == \
+                [(d.key(), f.key()) for d, f in rank_loop_basis(s, dmax)], s
+
+
 class TestLazyGroup:
     """The group is held as its basis; the elements built on demand agree
     with the membership test on the basis."""
@@ -394,6 +435,17 @@ class TestCLoz:
         assert group.order == 1
         report = c_loz(s, group, 4)
         assert report.hilbert == [1, 2, 3, 4, 5]
+
+    def test_rejects_a_basis_not_of_degree_zero(self):
+        # x1 |-> x1^2 has no operator on A_d
+        p = 5
+        s = from_potential(parse_poly("x1^2*x2", p, 3))
+        z = MultiPoly.zero(p, 3)
+        delta = Derivation(p, 3, [parse_poly("x1^2", p, 3), z, z])
+        group = LozGroup(p=p, n=3, search_bound=0, found={},
+                         basis=[(delta, MultiPoly.const(p, 3, 1))])
+        with pytest.raises(ArityMismatch):
+            c_loz(s, group, 3)
 
     def test_column_cap(self):
         s = two_lines(5)
@@ -602,6 +654,11 @@ class TestMaximalOrderReport:
         skew = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 0], [0, 0]]))
         with pytest.raises(CapExceeded, match="25 kernel vectors, cap is 24"):
             theorem212_check(skew, 1, 10, Limits(kernel=24))
+
+    def test_non_graded_raises(self):
+        s = explicit_structure(5, 2, {(0, 1): parse_poly("x1^3 + x2", 5, 2)})
+        with pytest.raises(NotGraded):
+            theorem212_check(s, 1, 10)
 
     def test_explicit_table_uses_oracle_rank(self):
         # same bracket as a skew structure but loaded as an explicit

@@ -87,7 +87,7 @@ class TestDerivationMatrix:
         src = monomials_upto_degree(2, top)
         tgt = monomials_upto_degree(2, top + max((h.degree() or 0) - 1, 0))
         for i in range(2):
-            m = derivation_matrix([struct.entry(i, j) for j in range(2)], src, tgt)
+            m = derivation_matrix([[struct.entry(i, j) for j in range(2)]], src, tgt)[0]
             assert_columns(
                 m, src, tgt,
                 lambda e: struct.bracket_with_gen(i, MultiPoly.monomial(p, 2, e)),
@@ -99,7 +99,7 @@ class TestDerivationMatrix:
         delta = Derivation(p, n, [data.draw(polys(p, n, 2)) for _ in range(n)])
         src = monomials_upto_degree(n, top)
         tgt = monomials_upto_degree(n, top + 1)
-        m = derivation_matrix(delta.images, src, tgt)
+        m = derivation_matrix([delta.images], src, tgt)[0]
         assert_columns(
             m, src, tgt,
             lambda e: apply_derivation(delta, MultiPoly.monomial(p, n, e)),
@@ -128,6 +128,13 @@ class TestDerivationMatrix:
                 lambda e: MultiPoly.variable(p, n, j) * MultiPoly.monomial(p, n, e),
             )
 
+    def test_multiplication_matrices_read_only(self):
+        # the array is cached: a write would reach every later caller
+        m = multiplication_matrices(5, 3, 2)
+        with pytest.raises(ValueError):
+            m[0, 0, 0] = 1
+        assert m is multiplication_matrices(5, 3, 2)
+
 
 def tuple_loop_matrix(images, src, tgt):
     """Reference for `derivation_matrix`: one pass over the source
@@ -146,10 +153,37 @@ def tuple_loop_matrix(images, src, tgt):
 
 
 def assert_matches_tuple_loop(images, src, tgt):
-    m, ref = derivation_matrix(images, src, tgt), tuple_loop_matrix(images, src, tgt)
+    m, ref = derivation_matrix([images], src, tgt)[0], tuple_loop_matrix(images, src, tgt)
     assert m.shape == ref.shape
     for k, e in enumerate(src):
         assert np.array_equal(m[:, k], ref[:, k]), e
+
+
+class TestDerivationArray:
+    """`derivation_matrix` of a list of derivations is one array whose
+    k-th matrix is the reference matrix of the k-th derivation."""
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+    def test_each_matrix_is_the_tuple_loop(self, data, p, n, top, k):
+        derivations = [[data.draw(polys(p, n, 3)) for _ in range(n)] for _ in range(k)]
+        src, tgt = monomials_upto_degree(n, top), monomials_upto_degree(n, top + 2)
+        m = derivation_matrix(derivations, src, tgt)
+        assert m.shape == (k, len(tgt), len(src))
+        for images, mk in zip(derivations, m):
+            assert np.array_equal(mk, tuple_loop_matrix(images, src, tgt))
+
+    def test_empty_list(self):
+        src, tgt = monomials_of_degree(3, 2), monomials_of_degree(3, 3)
+        assert derivation_matrix([], src, tgt).shape == (0, 10, 6)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_bracket_array_is_every_ad(self, p):
+        for form in potential_catalog(p):
+            struct = form.structure()
+            src, tgt = monomials_of_degree(3, 4), monomials_of_degree(3, 5)
+            for a, m in zip(struct.ad, bracket_matrices(struct, 4)):
+                assert np.array_equal(m, tuple_loop_matrix(a.images, src, tgt))
 
 
 @st.composite
@@ -215,5 +249,5 @@ class TestNoDegreeCap:
         # the Euler derivation multiplies x^e by its degree 65 = 2 mod 3
         basis = monomials_of_degree(2, 65)
         x1, x2 = MultiPoly.gens(3, 2)
-        m = derivation_matrix([x1, x2], basis, basis)
+        m = derivation_matrix([[x1, x2]], basis, basis)[0]
         assert (m == 2 * np.eye(len(basis), dtype=np.int64)).all()

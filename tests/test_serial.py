@@ -1,16 +1,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poismodp.deriv import Derivation
 from poismodp.errors import ParseError
-from poismodp.fieldpoly import parse_poly
+from poismodp.fieldpoly import MultiPoly, monomials_upto_degree, parse_poly
 from poismodp.serial import (
     dump_algebra,
     dump_derivation,
     load_algebra,
     load_derivation,
 )
-from poismodp.structure import SkewMatrix, from_potential, from_skew_matrix
+from poismodp.structure import (
+    SkewMatrix,
+    from_ore,
+    from_potential,
+    from_skew_matrix,
+    tensor,
+)
 
 
 def skew_obj():
@@ -160,6 +169,57 @@ class TestRoundtrip:
     def test_json_serializable(self):
         struct, names = load_algebra(skew_obj())
         json.dumps(dump_algebra(struct, names))
+
+
+def draw_poly(draw, p, n, max_degree=3):
+    terms = draw(st.dictionaries(st.sampled_from(monomials_upto_degree(n, max_degree)),
+                                 st.integers(1, p - 1), max_size=3))
+    return MultiPoly(p, n, terms)
+
+
+def draw_skew(draw, p, n):
+    upper = {(i, j): draw(st.integers(0, p - 1)) for i in range(n) for j in range(i + 1, n)}
+    return from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+
+
+@st.composite
+def structures(draw):
+    """Skew, potential, Ore and tensor structures on at most 5 variables."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["skew", "potential", "ore", "tensor"]))
+    if kind == "skew":
+        return draw_skew(draw, p, draw(st.integers(1, 4)))
+    if kind == "potential":
+        return from_potential(draw_poly(draw, p, 3, 4))
+    if kind == "tensor":
+        return tensor(draw_skew(draw, p, draw(st.integers(1, 2))),
+                      from_potential(draw_poly(draw, p, 3)))
+    # a diagonal alpha is a Poisson derivation of a skew base, and
+    # beta = 0 an alpha-derivation; on one variable any pair will do
+    m = draw(st.integers(1, 3))
+    base = draw_skew(draw, p, m)
+    if m == 1:
+        alpha = Derivation(p, 1, [draw_poly(draw, p, 1)])
+        beta = Derivation(p, 1, [draw_poly(draw, p, 1)])
+    else:
+        diag = [draw(st.integers(0, p - 1)) for _ in range(m)]
+        alpha = Derivation.from_matrix(
+            p, [[a if i == j else 0 for j, _ in enumerate(diag)] for i, a in enumerate(diag)])
+        beta = Derivation.zero(p, m)
+    return from_ore(base, alpha, beta)
+
+
+class TestRoundtripProperty:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(structures())
+    def test_dump_load_dump(self, struct):
+        dumped = dump_algebra(struct)
+        again, names = load_algebra(json.loads(json.dumps(dumped)))
+        assert again.table == struct.table
+        assert names == dumped["vars"]
+        if struct.provenance.kind in ("skew", "potential"):
+            assert again.provenance.kind == struct.provenance.kind
+        assert dump_algebra(again) == dumped
 
 
 class TestDerivationIO:
