@@ -43,8 +43,13 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
 
     The sources are one int64 exponent array; each image term shifts the
     sources with e_j != 0 mod p, and one lookup finds all target rows.
+
+    The array is written in full, not left to the lazily zeroed pages of
+    np.zeros: numpy asks the kernel for 2 MiB pages on large arrays, so
+    the resident size of a sparsely written one would depend on whether
+    the machine has such pages free at that moment.
     """
-    m = np.zeros((len(derivations), len(tgt), len(src)), dtype=np.int64)
+    m = np.full((len(derivations), len(tgt), len(src)), 0, dtype=np.int64)
     if not derivations:
         return m
     exps = _exponent_table(tuple(src), len(derivations[0]))[0]
@@ -67,9 +72,7 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
     if targets:
         cells = (np.concatenate(mats), _row_index(tgt, np.concatenate(targets)),
                  np.concatenate(cols))
-        # each cell sums at most n products below p^2: exact in int64.
-        # Only the cells written are reduced, so the untouched pages of
-        # the zero array stay unallocated.
+        # each cell sums at most n products below p^2: exact in int64
         np.add.at(m, cells, np.concatenate(vals))
         m[cells] %= p
     return m
