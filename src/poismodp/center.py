@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -36,23 +35,6 @@ def bracket_matrices(struct: PoissonStructure, d: int) -> np.ndarray:
     n = struct.n
     return derivation_matrix([a.images for a in struct.ad],
                              monomials_of_degree(n, d), monomials_of_degree(n, d + 1))
-
-
-@lru_cache(maxsize=None)
-def multiplication_matrices(p: int, n: int, d: int) -> np.ndarray:
-    """The n x |A_{d+1}| x |A_d| array whose j-th matrix is f |-> x_j f
-    from A_d to A_{d+1}.  Cached, so read-only: every caller gets the
-    same array."""
-    src = monomials_of_degree(n, d)
-    tgt = monomials_of_degree(n, d + 1)
-    m = np.stack([
-        coeff_matrix(
-            [MultiPoly(p, n, {e[:j] + (e[j] + 1,) + e[j + 1 :]: 1}) for e in src], tgt
-        )
-        for j in range(n)
-    ])
-    m.flags.writeable = False
-    return m
 
 
 # ---------------------------------------------------------------------
@@ -135,14 +117,8 @@ def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> C
     """
     p, n = m.p, m.n
     struct = from_skew_matrix(m.c)
-    gens = []
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = p
-        gens.append(MultiPoly.monomial(p, n, exps))
-    for b in m.B:
-        if any(b):
-            gens.append(MultiPoly.monomial(p, n, b))
+    gens = [x**p for x in MultiPoly.gens(p, n)]
+    gens += [MultiPoly.monomial(p, n, b) for b in m.B if any(b)]
     for g in gens:
         if not is_central(struct, g):
             raise InternalCheckFailed(f"claimed generator {g} is not central")
@@ -475,22 +451,21 @@ def rank_over_subring(
     """Estimate rk_Z(A) as p^n over the number of module generators of Z
     over k[x_1^p, ..., x_n^p], counted degreewise up to max_degree.
 
+    `sub_bases` must be closed under multiplication by the x_i^p, as the
+    center's are: then the x_i^p Z_{d-p} span every x^(pv) Z_{d-p|v|}.
+
     Exact when Z is free over the p-th power subring and generated in
     degrees <= max_degree; callers get notes describing both caveats.
     """
     count = 0
     last_nonzero = 0
+    powers = [x**p for x in MultiPoly.gens(p, n)]
     for d in range(max_degree + 1):
         basis = sub_bases.get(d, [])
         if not basis:
             continue
         src = monomials_of_degree(n, d)
-        products = []
-        for k in range(1, d // p + 1):
-            for v in monomials_of_degree(n, k):
-                pv = tuple(p * e for e in v)
-                for h in sub_bases.get(d - p * k, []):
-                    products.append(MultiPoly.monomial(p, n, pv) * h)
+        products = [x * h for x in powers for h in sub_bases.get(d - p, [])]
         quotient = linalg.rank(coeff_matrix(basis, src), p)
         if products:
             quotient -= linalg.rank(coeff_matrix(products, src), p)

@@ -10,9 +10,11 @@ block is decided by whether it is zero, and each larger block gets one
 dense `rref`.  The operator matrices of the center engines are very
 sparse and fall apart into thousands of such blocks.
 
-Polynomials and matrices on a monomial basis meet only here:
-`coeff_matrix` and `derivation_matrix` fill whole arrays from polynomial
-terms, and `vec_to_poly` reads a vector back.
+Polynomials and matrices on a monomial basis meet only here, and only
+here is a basis held as an int64 exponent array: `coeff_matrix` and
+`derivation_matrix` fill whole arrays from polynomial terms,
+`multiplication_matrices` from exponents alone, and `vec_to_poly` reads
+a vector back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalCheckFailed, ZeroInput
-from .fieldpoly import MultiPoly, UniPoly, ff_inv
+from .fieldpoly import MultiPoly, UniPoly, ff_inv, monomials_of_degree
 
 
 def coeff_matrix(polys, basis) -> np.ndarray:
@@ -41,8 +43,9 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
     (len(derivations), len(tgt), len(src)) array, computed on exponents:
     delta(x^e) = sum_j e_j x^(e - eps_j) images[j].
 
-    The sources are one int64 exponent array; each image term shifts the
-    sources with e_j != 0 mod p, and one lookup finds all target rows.
+    The sources are one int64 exponent array.  All image terms of all
+    derivations are taken at once: each shifts the sources with
+    e_j != 0 mod p, and one lookup finds all target rows.
 
     The array is written in full, not left to the lazily zeroed pages of
     np.zeros: numpy asks the kernel for 2 MiB pages on large arrays, so
@@ -50,31 +53,34 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
     the machine has such pages free at that moment.
     """
     m = np.full((len(derivations), len(tgt), len(src)), 0, dtype=np.int64)
-    if not derivations:
+    terms = [(k, j, e, c) for k, images in enumerate(derivations)
+             for j, g in enumerate(images) for e, c in g.terms.items()]
+    if not terms:
         return m
-    exps = _exponent_table(tuple(src), len(derivations[0]))[0]
-    mats, targets, cols, vals = [], [], [], []
-    for k, images in enumerate(derivations):
-        for j, g in enumerate(images):
-            if g.is_zero:
-                continue
-            p = g.p
-            ej = exps[:, j] % p
-            hit = np.flatnonzero(ej)
-            # (row, column) pairs are distinct for one (k, j): the shifts differ
-            for ge, c in g.terms.items():
-                shift = np.array(ge, dtype=np.int64)
-                shift[j] -= 1
-                mats.append(np.full(len(hit), k))
-                targets.append(exps[hit] + shift)
-                cols.append(hit)
-                vals.append(ej[hit] * c)
-    if targets:
-        cells = (np.concatenate(mats), _row_index(tgt, np.concatenate(targets)),
-                 np.concatenate(cols))
-        # each cell sums at most n products below p^2: exact in int64
-        np.add.at(m, cells, np.concatenate(vals))
-        m[cells] %= p
+    p = derivations[0][0].p
+    ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
+    shifts[np.arange(len(js)), js] -= 1
+    exps = _exponent_table(tuple(src), shifts.shape[1])[0]
+    powers = exps[:, js] % p  # e_j of every source, one column per term
+    s, t = powers.nonzero()
+    cells = (ks[t], _row_index(tgt, exps[s] + shifts[t]), s)
+    # each cell sums at most n products below p^2: exact in int64
+    np.add.at(m, cells, powers[s, t] * coeffs[t])
+    m[cells] %= p
+    return m
+
+
+@lru_cache(maxsize=None)
+def multiplication_matrices(n: int, d: int) -> np.ndarray:
+    """The n x |A_{d+1}| x |A_d| array whose j-th matrix is f |-> x_j f
+    from A_d to A_{d+1}: one row lookup of the shifted sources per j.
+    Cached, so read-only: every caller gets the same array."""
+    src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
+    exps = _exponent_table(src, n)[0]
+    m = np.full((n, len(tgt), len(src)), 0, dtype=np.int64)
+    for j, shift in enumerate(np.eye(n, dtype=np.int64)):
+        m[j, _row_index(tgt, exps + shift), np.arange(len(src))] = 1
+    m.flags.writeable = False
     return m
 
 
@@ -275,20 +281,18 @@ def is_nilpotent(a: np.ndarray, p: int) -> bool:
 
 
 def minimal_polynomial(a: np.ndarray, p: int) -> UniPoly:
-    """Monic minimal polynomial of a square matrix over F_p."""
+    """Monic minimal polynomial of a square matrix over F_p.
+
+    The first kernel vector of the columns I, a, ..., a^n belongs to the
+    first power that depends on those before it, so it holds the monic
+    minimal polynomial's coefficients, in ascending order, and zeros."""
     n = a.shape[0]
     if n == 0:
         raise ZeroInput("empty matrix has no minimal polynomial")
-    powers = [np.eye(n, dtype=np.int64).reshape(-1)]
-    cur = np.eye(n, dtype=np.int64)
+    powers = [np.eye(n, dtype=np.int64)]
     for _ in range(n):
-        cur = mat_mul(cur, a, p)
-        powers.append(cur.reshape(-1))
-    for k in range(1, n + 1):
-        # look for monic dependence: a^k = sum_{i<k} c_i a^i
-        lhs = np.stack(powers[:k], axis=1)
-        sol = solve(lhs, powers[k], p)
-        if sol is not None:
-            coeffs = [(-int(c)) % p for c in sol] + [1]
-            return UniPoly(p, coeffs)
-    raise InternalCheckFailed("minimal polynomial of degree <= n must exist")
+        powers.append(mat_mul(powers[-1], a, p))
+    kernel = nullspace(np.stack(powers, axis=-1).reshape(n * n, n + 1), p)
+    if not kernel:
+        raise InternalCheckFailed("minimal polynomial of degree <= n must exist")
+    return UniPoly(p, [int(c) for c in kernel[0]])

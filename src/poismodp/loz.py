@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Optional
 
@@ -23,7 +24,6 @@ from .center import (
     bracket_matrices,
     center_oracle,
     graded_kernel,
-    multiplication_matrices,
     rank_over_subring,
     skew_monoid,
 )
@@ -87,35 +87,40 @@ def log_ozone_derivation(struct: PoissonStructure, f: MultiPoly) -> Derivation:
 # ---------------------------------------------------------------------
 
 
-def pder0_matrix_space(struct: PoissonStructure) -> list[np.ndarray]:
-    """Basis of the space of degree-0 Poisson derivations as matrices.
+@lru_cache(maxsize=None)
+def _elementary_matrices(p: int, n: int, degrees: tuple) -> tuple[tuple, np.ndarray]:
+    """The monomials `src` of the given degrees, and the matrices on
+    span(src) of the n^2 derivations E_ab: x_a |-> x_b, in order a*n + b,
+    as one (n^2, |src|, |src|) array.  Cached, so read-only."""
+    src = tuple(e for d in degrees for e in monomials_of_degree(n, d))
+    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    m = derivation_matrix([Derivation.from_matrix(p, u).images for u in units], src, src)
+    m.flags.writeable = False
+    return src, m
 
-    Unknowns are the n*n coefficients of x_i |-> sum_j D[i,j] x_j; the
-    Poisson-derivation identity on generator pairs is linear in D.
+
+def pder0_matrix_space(struct: PoissonStructure) -> np.ndarray:
+    """Basis of the space of degree-0 Poisson derivations, as one
+    (k, n, n) array of matrices.
+
+    Unknowns are the n*n coefficients of x_a |-> sum_b D[a,b] x_b; the
+    Poisson-derivation identity on generator pairs is linear in D.  With
+    h_ij = {x_i, x_j}, the column of D[a, b] for the pair i < j is
+    E_ab(h_ij) - [a == i] h_bj - [a == j] h_ib.
     """
     p, n = struct.p, struct.n
-    xs = struct.gens()
-    residuals = []  # per pair i < j, the coefficient polynomials of D
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = struct.entry(i, j)
-            # residual coefficient of D[a, b], in column a * n + b:
-            #   (dh/dx_a) x_b - [a == i] {x_b, x_j} - [a == j] {x_i, x_b}
-            coeff_polys = []
-            for a in range(n):
-                ha = h.partial(a)
-                for b in range(n):
-                    k = ha * xs[b]
-                    if a == i:
-                        k = k - struct.entry(b, j)
-                    if a == j:
-                        k = k - struct.entry(i, b)
-                    coeff_polys.append(k)
-            residuals.append(coeff_polys)
-    # one block of rows per pair, on the monomials of all pairs
-    monos = sorted({e for polys in residuals for k in polys for e in k.terms})
-    system = np.array([coeff_matrix(polys, monos) for polys in residuals], dtype=np.int64)
-    return [v.reshape(n, n) for v in linalg.nullspace(system.reshape(-1, n * n), p)]
+    degrees = tuple(sorted({sum(e) for h in struct.table.values() for e in h.terms}))
+    src, elementary = _elementary_matrices(p, n, degrees)
+    # h[i, j] on src: column j of the matrix of ad_i on the linear forms
+    h = derivation_matrix([a.images for a in struct.ad], monomials_of_degree(n, 1), src)
+    h = h.transpose(0, 2, 1)
+    i, j = np.triu_indices(n, 1)
+    system = np.einsum("kts,qs->qkt", elementary, h[i, j]).reshape(len(i), n, n, len(src))
+    system[np.arange(len(i)), i] -= h[:, j].swapaxes(0, 1)
+    system[np.arange(len(i)), j] -= h[i]
+    # one block of rows per pair, one row per monomial
+    kernel = linalg.nullspace(system.transpose(0, 3, 1, 2).reshape(-1, n * n), p)
+    return np.array(kernel, dtype=np.int64).reshape(-1, n, n)
 
 
 def _scan_direct(struct, d, homogeneous, limits):
@@ -150,7 +155,8 @@ def _digits(index, p, k):
 
 def _scan_eigenspaces(struct, d, pder0, limits):
     """Union over candidate degree-0 derivations delta of the solution
-    spaces of {x_i, f} = delta(x_i) f on the degree-d component.
+    spaces of {x_i, f} = delta(x_i) f on the degree-d component, delta
+    ranging over the span of the (k, n, n) array `pder0`.
 
     Every monic homogeneous normal element arises this way, since its
     log-ozone derivation is a degree-0 Poisson derivation; conversely a
@@ -168,14 +174,13 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     limits.check("candidates", p**k, f"derivation candidates at degree {d}")
     src = monomials_of_degree(n, d)
     brackets = bracket_matrices(struct, d)
-    mults = multiplication_matrices(p, n, d)
-    basis = np.array(pder0, dtype=np.int64).reshape(k, n, n)
+    mults = linalg.multiplication_matrices(n, d)
     # candidate g is the coefficient vector _digits(g) of itertools.product
     # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
     # row codes (< p^k) are far below 2^63
     alive = np.ones(p**k, dtype=bool)
     for i in range(n):
-        rows = basis[:, i, :]  # row i of every basis derivation
+        rows = pder0[:, i, :]  # row i of every basis derivation
         cols = linalg.rref(rows, p)[1]  # a row value is fixed by these entries
         codes = linalg.span(rows[:, cols], p) @ p ** np.arange(len(cols))
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -185,7 +190,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     found = []
     elements = 0
     for g in np.flatnonzero(alive):
-        D = np.tensordot(_digits(g, p, k), basis, 1) % p
+        D = np.tensordot(_digits(g, p, k), pder0, 1) % p
         kernel = linalg.nullspace(_block(brackets, mults, D, p), p)
         if not kernel:
             continue
@@ -439,16 +444,9 @@ def decomposable_witness(
     center = center_oracle(struct, max_degree, limits)
     blocks = _representatives(group, max_degree)
     for m in range(1, max_degree + 1):
-        cols = []
-        col_info = []
-        for bi, (delta, f) in enumerate(blocks):
-            df = f.degree()
-            need = m - df
-            if need < 0:
-                continue
-            for z in center.graded_basis.get(need, []):
-                cols.append(z * f)
-                col_info.append((bi, z))
+        col_info = [(bi, z) for bi, (_, f) in enumerate(blocks)
+                    for z in center.graded_basis.get(m - f.degree(), [])]
+        cols = [z * blocks[bi][1] for bi, z in col_info]
         if len(cols) < 2:
             continue
         kernel = linalg.nullspace(coeff_matrix(cols, monomials_of_degree(n, m)), p)

@@ -38,6 +38,23 @@ def _check_keys(obj: dict, allowed: set, what: str) -> None:
         raise ParseError(f"unknown fields in {what}: {sorted(unknown)}")
 
 
+def _field(obj: dict, key: str, kind: type, what: str):
+    """obj[key], present and of JSON type `kind` (true and false are no int)."""
+    if key not in obj:
+        raise ParseError(f"{what} needs '{key}'")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"'{key}' in {what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _strings(obj: dict, key: str, what: str) -> list[str]:
+    items = _field(obj, key, list, what)
+    if not all(isinstance(s, str) for s in items):
+        raise ParseError(f"'{key}' in {what} must be a list of str, got {items!r}")
+    return items
+
+
 def _check_schema(obj: dict) -> None:
     if "schema" in obj and obj["schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema version {obj['schema']!r}")
@@ -50,57 +67,55 @@ def load_algebra(obj: dict) -> tuple[PoissonStructure, list[str]]:
         raise ParseError("algebra description must be a JSON object")
     _check_keys(obj, _ALGEBRA_KEYS, "algebra")
     _check_schema(obj)
-    if "p" not in obj or "bracket" not in obj:
-        raise ParseError("algebra description needs 'p' and 'bracket'")
-    p = obj["p"]
+    p = _field(obj, "p", int, "the algebra description")
     try:
         require_prime(p)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
-    bracket = obj["bracket"]
-    if not isinstance(bracket, dict) or "kind" not in bracket:
-        raise ParseError("'bracket' must be an object with a 'kind'")
-    kind = bracket["kind"]
+    bracket = _field(obj, "bracket", dict, "the algebra description")
+    kind = _field(bracket, "kind", str, "'bracket'")
     if kind not in _BRACKET_KEYS:
         raise ParseError(f"unknown bracket kind {kind!r}")
-    _check_keys(bracket, _BRACKET_KEYS[kind], f"bracket kind {kind!r}")
+    what = f"bracket kind {kind!r}"
+    _check_keys(bracket, _BRACKET_KEYS[kind], what)
 
     if kind == "skew":
-        matrix = bracket["matrix"]
-        n = len(matrix)
-        names = _names(obj, n)
+        matrix = _field(bracket, "matrix", list, what)
+        names = _names(obj, len(matrix))
         struct = from_skew_matrix(SkewMatrix.from_rows(p, matrix))
         return struct, names
     if kind == "potential":
         names = _names(obj, 3)
-        omega = parse_poly(bracket["omega"], p, 3, names)
+        omega = parse_poly(_field(bracket, "omega", str, what), p, 3, names)
         return from_potential(omega), names
     if kind == "explicit":
-        if "vars" not in obj:
-            raise ParseError("explicit brackets need a 'vars' list")
-        names = list(obj["vars"])
+        names = _strings(obj, "vars", "an explicit algebra")
         n = len(names)
         table = {}
-        for pair in bracket["pairs"]:
+        for pair in _field(bracket, "pairs", list, what):
+            if not isinstance(pair, dict):
+                raise ParseError(f"explicit pair must be an object, got {pair!r}")
             _check_keys(pair, {"i", "j", "value"}, "explicit pair")
-            i, j = pair["i"] - 1, pair["j"] - 1
+            i = _field(pair, "i", int, "explicit pair") - 1
+            j = _field(pair, "j", int, "explicit pair") - 1
             if not 0 <= i < j < n:
                 raise ParseError(f"pair indices {pair['i']},{pair['j']} out of range")
-            table[(i, j)] = parse_poly(pair["value"], p, n, names)
+            table[(i, j)] = parse_poly(_field(pair, "value", str, "explicit pair"),
+                                       p, n, names)
         return PoissonStructure(p, n, table), names
     # ore
-    base, base_names = load_algebra(bracket["base"])
+    base, base_names = load_algebra(_field(bracket, "base", dict, what))
     if base.p != p:
         raise ParseError("ore base has a different modulus")
-    alpha = _load_images(bracket["alpha"], base, base_names, "alpha")
-    beta = _load_images(bracket["beta"], base, base_names, "beta")
+    alpha = _load_images(_strings(bracket, "alpha", what), base, base_names, "alpha")
+    beta = _load_images(_strings(bracket, "beta", what), base, base_names, "beta")
     names = _names(obj, base.n + 1, default=base_names + [f"x{base.n + 1}"])
     return from_ore(base, alpha, beta), names
 
 
 def _names(obj: dict, n: int, default: Optional[list[str]] = None) -> list[str]:
     if "vars" in obj:
-        names = list(obj["vars"])
+        names = _strings(obj, "vars", "the algebra")
         if len(names) != n:
             raise ParseError(f"expected {n} variable names, got {len(names)}")
         return names
@@ -144,9 +159,8 @@ def load_derivation(obj: dict, struct: PoissonStructure, names=None) -> Derivati
         raise ParseError("derivation description must be a JSON object")
     _check_keys(obj, {"schema", "images"}, "derivation")
     _check_schema(obj)
-    if "images" not in obj:
-        raise ParseError("derivation description needs 'images'")
-    return _load_images(obj["images"], struct, names, "images")
+    return _load_images(_strings(obj, "images", "derivation description"),
+                        struct, names, "images")
 
 
 def dump_derivation(d: Derivation, names=None) -> dict:

@@ -21,6 +21,7 @@ from .errors import (
     NotGraded,
     NotPoissonDerivation,
     NotSkewSymmetric,
+    ParseError,
     WrongArity,
     require_prime,
 )
@@ -37,6 +38,11 @@ class SkewMatrix:
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "SkewMatrix":
+        """The matrix with the given rows: lists (or tuples) of ints."""
+        if not isinstance(rows, (list, tuple)) or any(
+                not isinstance(row, (list, tuple)) or any(type(v) is not int for v in row)
+                for row in rows):
+            raise ParseError(f"matrix rows must be lists of integers, got {rows!r}")
         n = len(rows)
         ent = tuple(tuple(v % p for v in row) for row in rows)
         for row in ent:
@@ -97,6 +103,8 @@ class PoissonStructure:
 
     def __init__(self, p, n, table, provenance=None, check=True):
         require_prime(p)
+        if n < 1:
+            raise ArityMismatch("a structure needs at least one variable")
         if n * n * (p - 1) ** 2 >= 2**63:  # int64 dot products have <= n^2 terms
             raise ModulusTooLarge(f"p={p}, n={n}: n^2 (p-1)^2 must be below 2^63")
         self.p = p

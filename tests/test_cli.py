@@ -249,6 +249,47 @@ class TestDefaultDegree:
         assert data["hilbert_agree"] is True
 
 
+FLOAT_SKEW = {"p": 5, "bracket": {"kind": "skew", "matrix": [[0, 1.5], [-1.5, 0]]}}
+WRONG_TYPES = {
+    "float_matrix": FLOAT_SKEW,
+    "matrix_not_list": {"p": 5, "bracket": {"kind": "skew", "matrix": 5}},
+    "pair_index_string": {
+        "p": 3, "vars": ["x1", "x2"],
+        "bracket": {"kind": "explicit", "pairs": [{"i": "1", "j": 2, "value": "x1^2"}]},
+    },
+    "omega_not_string": {"p": 5, "bracket": {"kind": "potential", "omega": 5}},
+    "no_variables": {"p": 5, "bracket": {"kind": "skew", "matrix": []}},
+}
+
+
+def assert_usage_error(capsys, argv):
+    """Exit 2 with one `error:` line on stderr, not a traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestMalformedInput:
+    """Inputs of the wrong JSON type, floats among them, are parse errors."""
+
+    @pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+    def test_algebra_file(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(WRONG_TYPES[name]))
+        command = "gorenstein" if WRONG_TYPES[name]["bracket"]["kind"] == "skew" else "center"
+        assert_usage_error(capsys, [command, "--algebra", str(path)])
+
+    def test_center_both_float(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(FLOAT_SKEW))
+        assert_usage_error(capsys, ["center", "--algebra", str(path), "--engine", "both"])
+
+    @pytest.mark.parametrize("matrix", ["[[0,1.5,0],[-1.5,0,0],[0,0,0]]", "5"])
+    def test_classify_matrix(self, capsys, matrix):
+        assert_usage_error(capsys, ["classify-skew3", "--p", "5", "--matrix", matrix])
+
+
 class TestNoClosure:
     """`survey` and `loz`, with or without `--predicates`, read only the
     basis and the order of a log-ozone group, so they never sum its

@@ -101,6 +101,57 @@ class TestMatrixOps:
         assert squarefree(m)
 
 
+def solve_loop_minimal_polynomial(a, p):
+    """Reference: the least k with a^k = sum_{i<k} c_i a^i, one `solve`
+    per candidate degree; ascending coefficients of the monic result."""
+    n = a.shape[0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n):
+        powers.append(linalg.mat_mul(powers[-1], a, p))
+    for k in range(1, n + 1):
+        lhs = np.stack([m.reshape(-1) for m in powers[:k]], axis=1)
+        sol = linalg.solve(lhs, powers[k].reshape(-1), p)
+        if sol is not None:
+            return [(-int(c)) % p for c in sol] + [1]
+    raise AssertionError("no monic dependence up to degree n")
+
+
+@st.composite
+def square_matrices(draw):
+    """Random, diagonal (repeated eigenvalues likely), nilpotent (strictly
+    upper triangular, rows and columns permuted alike) or scalar."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "diagonal", "nilpotent", "scalar"]))
+    entries = st.integers(0, p - 1)
+    if kind == "diagonal":
+        a = np.diag(draw(st.lists(st.integers(0, min(p, 3) - 1), min_size=n, max_size=n)))
+    elif kind == "scalar":
+        a = draw(entries) * np.eye(n, dtype=np.int64)
+    else:
+        a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=n, max_size=n))).reshape(n, n)
+        if kind == "nilpotent":
+            perm = draw(st.permutations(range(n)))
+            a = np.triu(a, 1)[np.ix_(perm, perm)]
+    return p, a.astype(np.int64)
+
+
+class TestMinimalPolynomialKernel:
+    """`minimal_polynomial` reads the first kernel vector of [I, a, ..., a^n];
+    the reference solves for a monic dependence degree by degree."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_matches_solve_loop(self, case):
+        p, a = case
+        assert linalg.minimal_polynomial(a, p).coeffs == solve_loop_minimal_polynomial(a, p)
+
+    def test_nilpotent_shift(self):
+        a = np.eye(4, k=1, dtype=np.int64)
+        assert linalg.minimal_polynomial(a, 7).coeffs == [0, 0, 0, 0, 1]  # t^4
+
+
 # ---------------------------------------------------------------------
 # Block-split kernels against one dense elimination
 # ---------------------------------------------------------------------

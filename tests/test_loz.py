@@ -32,6 +32,7 @@ from poismodp.fieldpoly import (
 from poismodp.loz import (
     LozGroup,
     _representatives,
+    _elementary_matrices,
     _semisimple_part,
     _scan_direct,
     _scan_eigenspaces,
@@ -54,6 +55,8 @@ from poismodp.structure import (
     tensor,
     trivial_structure,
 )
+
+from test_structure import draw_cubic_potential, draw_skew, draw_structure
 
 
 def jordan_plane(p):
@@ -114,6 +117,79 @@ class TestNormality:
     def test_not_normal_rejected(self):
         with pytest.raises(NotNormal):
             log_ozone_derivation(two_lines(5), parse_poly("x3", 5, 3))
+
+
+def residual_pder0(s):
+    """Reference for `pder0_matrix_space`: one residual polynomial per pair
+    i < j and unknown D[a, b], (dh/dx_a) x_b - [a == i] {x_b, x_j}
+    - [a == j] {x_i, x_b} with h = {x_i, x_j}, read off by coeff_matrix."""
+    p, n = s.p, s.n
+    xs = s.gens()
+    residuals = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = s.entry(i, j)
+            coeff_polys = []
+            for a in range(n):
+                for b in range(n):
+                    k = h.partial(a) * xs[b]
+                    if a == i:
+                        k = k - s.entry(b, j)
+                    if a == j:
+                        k = k - s.entry(i, b)
+                    coeff_polys.append(k)
+            residuals.append(coeff_polys)
+    monos = sorted({e for polys in residuals for k in polys for e in k.terms})
+    system = np.array([linalg.coeff_matrix(polys, monos) for polys in residuals],
+                      dtype=np.int64)
+    return [v.reshape(n, n) for v in linalg.nullspace(system.reshape(-1, n * n), p)]
+
+
+class TestPDer0Array:
+    """`pder0_matrix_space` builds its system from the elementary
+    derivations' matrices and the bracket's coefficient array; the basis
+    is the residual formula's, vector for vector."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_residual_formula(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        kind = data.draw(st.sampled_from(["skew", "cubic", "trivial", "other"]))
+        if kind == "skew":
+            s = draw_skew(data, p, data.draw(st.integers(1, 4)))
+        elif kind == "cubic":
+            s = draw_cubic_potential(data, p)
+        elif kind == "trivial":
+            s = trivial_structure(p, 1)
+        else:  # Jordan plane, non-graded explicit, Ore, tensor, any potential
+            s = draw_structure(data, p)
+        basis = pder0_matrix_space(s)
+        reference = residual_pder0(s)
+        assert basis.shape == (len(reference), s.n, s.n)
+        for m, ref in zip(basis, reference):
+            assert np.array_equal(m, ref)
+
+    def test_no_poly_arithmetic(self, monkeypatch):
+        # the system comes from exponent arrays: no product, no partial
+        s = from_skew_matrix(SkewMatrix.from_rows(
+            5, [[0, 1, 2, 0], [-1, 0, 3, 4], [-2, -3, 0, 1], [0, -4, -1, 0]]))
+        calls = []
+        for name in ("__mul__", "__rmul__", "partial"):
+            def counting(self, *args, _name=name, _f=getattr(MultiPoly, name)):
+                calls.append(_name)
+                return _f(self, *args)
+            monkeypatch.setattr(MultiPoly, name, counting)
+        _elementary_matrices.cache_clear()
+        basis = pder0_matrix_space(s)
+        assert calls == []
+        assert len(basis) == len(residual_pder0(s))
+
+    def test_elementary_matrices_read_only(self):
+        src, m = _elementary_matrices(5, 3, (2,))
+        assert m.shape == (9, len(src), len(src))
+        with pytest.raises(ValueError):
+            m[0, 0, 0] = 1
+        assert _elementary_matrices(5, 3, (2,))[1] is m
 
 
 class TestPDer0:

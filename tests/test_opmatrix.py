@@ -1,6 +1,7 @@
-"""The operator-matrix layer (`linalg.coeff_matrix`, `linalg.derivation_matrix`)
-against the MultiPoly reference: every column equals the image of one
-monomial computed by `bracket_with_gen` or `apply_derivation`."""
+"""The operator-matrix layer (`linalg.coeff_matrix`, `linalg.derivation_matrix`,
+`linalg.multiplication_matrices`) against the MultiPoly reference: every
+column equals the image of one monomial computed by `bracket_with_gen`,
+`apply_derivation` or a product."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from poismodp.center import (
     bracket_matrices,
     center_generators_skew,
     center_oracle,
-    multiplication_matrices,
     skew_monoid,
 )
 from poismodp.deriv import Derivation, apply_derivation
@@ -22,7 +22,7 @@ from poismodp.fieldpoly import (
     monomials_upto_degree,
     parse_poly,
 )
-from poismodp.linalg import coeff_matrix, derivation_matrix
+from poismodp.linalg import coeff_matrix, derivation_matrix, multiplication_matrices
 from poismodp.structure import SkewMatrix, explicit_structure, from_skew_matrix
 
 BOUNDED = settings(derandomize=True, max_examples=30, deadline=None)
@@ -122,7 +122,7 @@ class TestDerivationMatrix:
     @given(PRIMES, st.integers(1, 4), st.integers(0, 4))
     def test_multiplication_matrices(self, p, n, d):
         src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
-        for j, m in enumerate(multiplication_matrices(p, n, d)):
+        for j, m in enumerate(multiplication_matrices(n, d)):
             assert_columns(
                 m, src, tgt,
                 lambda e: MultiPoly.variable(p, n, j) * MultiPoly.monomial(p, n, e),
@@ -130,10 +130,10 @@ class TestDerivationMatrix:
 
     def test_multiplication_matrices_read_only(self):
         # the array is cached: a write would reach every later caller
-        m = multiplication_matrices(5, 3, 2)
+        m = multiplication_matrices(3, 2)
         with pytest.raises(ValueError):
             m[0, 0, 0] = 1
-        assert m is multiplication_matrices(5, 3, 2)
+        assert m is multiplication_matrices(3, 2)
 
 
 def tuple_loop_matrix(images, src, tgt):

@@ -140,6 +140,74 @@ class TestLoad:
             load_algebra(obj)
 
 
+def explicit_obj():
+    return {"p": 5, "vars": ["x1", "x2"],
+            "bracket": {"kind": "explicit", "pairs": [{"i": 1, "j": 2, "value": "x1^2"}]}}
+
+
+def ore_obj():
+    return {"p": 5, "bracket": {
+        "kind": "ore", "alpha": ["0"], "beta": ["x1^2"],
+        "base": {"p": 5, "vars": ["x1"], "bracket": {"kind": "explicit", "pairs": []}}}}
+
+
+def set_field(obj, path, value):
+    *parents, key = path
+    for k in parents:
+        obj = obj[k]
+    obj[key] = value
+    return obj
+
+
+# (object, path to a field, a value of the wrong JSON type)
+WRONG_TYPES = [
+    (skew_obj, ("bracket", "matrix"), 5),
+    (skew_obj, ("bracket", "matrix"), [[0, 1.5, 0], [-1.5, 0, 0], [0, 0, 0]]),
+    (skew_obj, ("bracket", "matrix"), [[0, True, 0], [-1, 0, 0], [0, 0, 0]]),
+    (skew_obj, ("bracket", "matrix"), [0, 1, 2]),
+    (skew_obj, ("bracket", "kind"), ["skew"]),
+    (skew_obj, ("vars",), "x1 x2 x3"),
+    (skew_obj, ("vars",), ["x1", 2, "x3"]),
+    (skew_obj, ("bracket",), "skew"),
+    (explicit_obj, ("bracket", "pairs"), {"i": 1}),
+    (explicit_obj, ("bracket", "pairs", 0), [1, 2, "x1^2"]),
+    (explicit_obj, ("bracket", "pairs", 0, "i"), "1"),
+    (explicit_obj, ("bracket", "pairs", 0, "j"), 2.0),
+    (explicit_obj, ("bracket", "pairs", 0, "value"), 1),
+    (lambda: {"p": 5, "bracket": {"kind": "potential", "omega": "x1^3"}},
+     ("bracket", "omega"), 5),
+    (ore_obj, ("bracket", "alpha"), "0"),
+    (ore_obj, ("bracket", "beta"), [2]),
+    (ore_obj, ("bracket", "base"), [5]),
+]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("make, path, value", WRONG_TYPES)
+    def test_wrong_type_rejected(self, make, path, value):
+        obj = make()
+        load_algebra(obj)  # well-formed before the edit
+        set_field(obj, path, value)
+        with pytest.raises(ParseError):
+            load_algebra(obj)
+
+    @pytest.mark.parametrize("make, path", [
+        (skew_obj, ("bracket", "matrix")),
+        (explicit_obj, ("bracket", "pairs", 0, "value")),
+        (ore_obj, ("bracket", "beta")),
+    ])
+    def test_missing_field_rejected(self, make, path):
+        obj = make()
+        del set_field(obj, path, None)[path[-1]]
+        with pytest.raises(ParseError):
+            load_algebra(obj)
+
+    def test_derivation_images_type(self):
+        struct, names = load_algebra(skew_obj())
+        with pytest.raises(ParseError):
+            load_derivation({"images": "x1"}, struct, names)
+
+
 class TestRoundtrip:
     def test_skew_roundtrip(self):
         struct, names = load_algebra(skew_obj())

@@ -12,6 +12,7 @@ from poismodp.deriv import (
     modular_derivation,
 )
 from poismodp.errors import (
+    ArityMismatch,
     JacobiViolation,
     ModulusMismatch,
     ModulusTooLarge,
@@ -19,6 +20,7 @@ from poismodp.errors import (
     NotGraded,
     NotPoissonDerivation,
     NotSkewSymmetric,
+    ParseError,
     WrongArity,
 )
 from poismodp.fieldpoly import MultiPoly, monomials_of_degree, parse_poly
@@ -131,6 +133,16 @@ class TestSkewMatrix:
         c = SkewMatrix.from_rows(5, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
         cp = c.permuted((2, 1, 0))
         assert cp[0, 1] == c[2, 1]
+
+    @pytest.mark.parametrize("rows", [5, [5], [[0, 1.5], [-1.5, 0]], [[0, True], [-1, 0]],
+                                      np.zeros((2, 2), dtype=np.int64)])
+    def test_rejects_non_integer_rows(self, rows):
+        with pytest.raises(ParseError):
+            SkewMatrix.from_rows(5, rows)
+
+    def test_no_variables_rejected(self):
+        with pytest.raises(ArityMismatch):
+            from_skew_matrix(SkewMatrix.from_rows(5, []))
 
 
 class TestModulusBound:
