@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import fixtures
 from .catalog import FORM_IDS, catalog_form, potential_catalog, verify_expected_center
 from .center import (
@@ -373,12 +375,47 @@ def _survey_row(p: int, n: int, upper, limits: Limits) -> dict:
     }
 
 
+def _orbit_codes(p: int, n: int) -> np.ndarray:
+    """For each upper triangle, in `_upper_tuples` order, the least index
+    in its orbit under S_n x F_p^*, which maps c to l * P c P^T (entry
+    (i, j) becomes l * c[s(i), s(j)]).
+
+    Every column of `_survey_row` but "upper" is constant on an orbit:
+    - relabelling x_i -> x_s(i) is a Poisson isomorphism;
+    - l * c has the kernel of c, hence the same `MonoidData`, and its
+      modular derivation is l times that of c;
+    - l * c has the normal elements of c, each log-derivation times l,
+      hence the same |loz|;
+    - `classify_skew3` matches its templates over all six permutations,
+      with a free scalar a.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    weights = p ** np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    index = np.arange(p ** len(pairs), dtype=np.int64)
+    upper = index[:, None] // weights % p
+    codes = index
+    for perm in itertools.permutations(range(n)):
+        src = [slot[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs]
+        sign = [1 if perm[i] < perm[j] else -1 for i, j in pairs]
+        moved = upper[:, src] * np.array(sign, dtype=np.int64)
+        for lam in range(1, p):
+            codes = np.minimum(codes, moved * lam % p @ weights)
+    return codes
+
+
 def cmd_survey(args) -> int:
     require_prime(args.p)
     p, n = args.p, args.n
     total = p ** (n * (n - 1) // 2)
     args.limits.check("candidates", total, "matrices in the survey")
-    ordered = [_survey_row(p, n, upper, args.limits) for upper in _upper_tuples(p, n)]
+    # one row per orbit, copied to the orbit's later members
+    codes = _orbit_codes(p, n)
+    ordered = []
+    for index, upper in enumerate(_upper_tuples(p, n)):
+        code = int(codes[index])
+        ordered.append(_survey_row(p, n, upper, args.limits) if code == index
+                       else {**ordered[code], "upper": list(upper)})
     problems = []
     for row in ordered:
         if row["unimodular"] and not row["gorenstein"]:

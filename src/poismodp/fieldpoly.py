@@ -245,18 +245,6 @@ class MultiPoly:
         out.terms = terms
         return out
 
-    def homogeneous_components(self) -> list[tuple[int, "MultiPoly"]]:
-        """Split into (degree, component) pairs, increasing degree."""
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(sum(e), {})[e] = c
-        out = []
-        for d in sorted(buckets):
-            comp = MultiPoly(self.p, self.n)
-            comp.terms = buckets[d]
-            out.append((d, comp))
-        return out
-
     def extend(self, n_new: int) -> "MultiPoly":
         """Reinterpret in a larger ring by appending variables."""
         if n_new < self.n:

@@ -275,11 +275,6 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
     return result
 
 
-def is_nilpotent(a: np.ndarray, p: int) -> bool:
-    n = a.shape[0]
-    return not np.any(mat_pow(a, n, p))
-
-
 def minimal_polynomial(a: np.ndarray, p: int) -> UniPoly:
     """Monic minimal polynomial of a square matrix over F_p.
 

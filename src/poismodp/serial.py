@@ -89,7 +89,7 @@ def load_algebra(obj: dict) -> tuple[PoissonStructure, list[str]]:
         omega = parse_poly(_field(bracket, "omega", str, what), p, 3, names)
         return from_potential(omega), names
     if kind == "explicit":
-        names = _strings(obj, "vars", "an explicit algebra")
+        names = _vars(obj, "an explicit algebra")
         n = len(names)
         table = {}
         for pair in _field(bracket, "pairs", list, what):
@@ -113,9 +113,17 @@ def load_algebra(obj: dict) -> tuple[PoissonStructure, list[str]]:
     return from_ore(base, alpha, beta), names
 
 
+def _vars(obj: dict, what: str) -> list[str]:
+    """The 'vars' list: strings, no name given twice."""
+    names = _strings(obj, "vars", what)
+    if len(set(names)) != len(names):
+        raise ParseError(f"'vars' in {what} repeats a name: {names!r}")
+    return names
+
+
 def _names(obj: dict, n: int, default: Optional[list[str]] = None) -> list[str]:
     if "vars" in obj:
-        names = _strings(obj, "vars", "the algebra")
+        names = _vars(obj, "the algebra")
         if len(names) != n:
             raise ParseError(f"expected {n} variable names, got {len(names)}")
         return names

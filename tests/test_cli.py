@@ -1,12 +1,25 @@
 import argparse
+import itertools
 import json
 import os
+import random
 
 import pytest
 
-from poismodp.cli import build_parser, main
+from poismodp import cli
+from poismodp.cli import (
+    _matrix_from_upper,
+    _orbit_codes,
+    _survey_row,
+    _upper_tuples,
+    build_parser,
+    main,
+)
 from poismodp.deriv import Derivation
+from poismodp.errors import Limits
 from poismodp.loz import LozGroup
+
+from conftest import SEED
 
 
 @pytest.fixture
@@ -289,6 +302,15 @@ class TestMalformedInput:
     def test_classify_matrix(self, capsys, matrix):
         assert_usage_error(capsys, ["classify-skew3", "--p", "5", "--matrix", matrix])
 
+    def test_duplicate_variable_names(self, capsys, tmp_path):
+        # it used to load as {x1, x2} = x2^2, the last x winning
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "p": 5, "vars": ["x", "x"],
+            "bracket": {"kind": "explicit", "pairs": [{"i": 1, "j": 2, "value": "x^2"}]},
+        }))
+        assert_usage_error(capsys, ["center", "--algebra", str(path)])
+
 
 class TestNoClosure:
     """`survey` and `loz`, with or without `--predicates`, read only the
@@ -376,7 +398,15 @@ class TestCatalog:
         assert main(["catalog", "--p", "5", "--form", "Elliptic", "--lam", "4"]) == 2
 
 
+def upper_of(c):
+    return tuple(c.entries[i][j] for i in range(c.n) for j in range(i + 1, c.n))
+
+
 class TestSurvey:
+    """`survey` computes one row per orbit of S_n x F_p^* (relabelling the
+    variables, scaling the bracket) and copies it to the orbit's other
+    members; the rows must be the ones a direct loop gives."""
+
     def test_p3_summary(self, capsys):
         code, data = run_json(capsys, ["survey", "--p", "3", "--n", "3"])
         assert code == 0
@@ -417,6 +447,75 @@ class TestSurvey:
         capsys.readouterr()
         assert main(argv + ["--cap-candidates", "5"]) == 2
         assert "6 candidates at degree 1, cap is 5" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 3), (5, 3), (7, 3)])
+    def test_rows_equal_direct_loop(self, capsys, p, n):
+        code, data = run_json(capsys, ["survey", "--p", str(p), "--n", str(n)])
+        assert code == 0
+        assert data["rows"] == [_survey_row(p, n, u, Limits()) for u in _upper_tuples(p, n)]
+
+    @pytest.mark.parametrize("p, n, orbits", [(3, 4, 30), (5, 4, 205), (7, 3, 16)])
+    def test_orbit_count(self, p, n, orbits):
+        codes = _orbit_codes(p, n)
+        assert len(codes) == p ** (n * (n - 1) // 2)
+        assert len(set(codes.tolist())) == orbits
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 3), (3, 4)])
+    def test_code_is_least_index_of_orbit(self, p, n):
+        index = {u: k for k, u in enumerate(_upper_tuples(p, n))}
+        codes = _orbit_codes(p, n)
+        for upper, k in index.items():
+            c = _matrix_from_upper(p, n, upper)
+            orbit = {
+                index[tuple(v * lam % p for v in upper_of(c.permuted(perm)))]
+                for perm in itertools.permutations(range(n))
+                for lam in range(1, p)
+            }
+            assert codes[k] == min(orbit)
+
+    def test_one_row_per_orbit(self, capsys, monkeypatch):
+        calls = []
+        row = cli._survey_row
+
+        def counting(p, n, upper, limits):
+            calls.append(tuple(upper))
+            return row(p, n, upper, limits)
+
+        monkeypatch.setattr(cli, "_survey_row", counting)
+        assert main(["survey", "--p", "3", "--n", "4", "--format", "json"]) == 0
+        assert len(calls) == 30
+
+    def test_paper_p5_n4(self, capsys):
+        # unimodular skew => Gorenstein center, and |loz| = p^n / |B|, on
+        # all 15 625 skew matrices at p=5, n=4
+        code, data = run_json(capsys, ["survey", "--p", "5", "--n", "4"])
+        assert code == 0
+        assert data["problems"] == []
+        summary = data["summary"]
+        assert (summary["matrices"], summary["gorenstein"], summary["unimodular"]) == (
+            15625, 12645, 125)
+        codes = _orbit_codes(5, 4)
+        copied = [k for k in range(len(codes)) if codes[k] != k]
+        for k in random.Random(SEED).sample(copied, 40):
+            row = data["rows"][k]
+            assert row == _survey_row(5, 4, row["upper"], Limits())
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_row_invariant_under_relabelling_and_scaling(self, p):
+        rng = random.Random(SEED + p)
+        n = 5
+        for _ in range(4):
+            upper = [0 if rng.random() < 0.5 else rng.randrange(1, p)
+                     for _ in range(n * (n - 1) // 2)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            lam = rng.randrange(1, p)
+            moved = [v * lam % p
+                     for v in upper_of(_matrix_from_upper(p, n, upper).permuted(perm))]
+            row = _survey_row(p, n, upper, Limits())
+            image = _survey_row(p, n, moved, Limits())
+            assert image == {**row, "upper": moved}
 
 
 class TestFlags:

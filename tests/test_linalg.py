@@ -14,6 +14,11 @@ from poismodp.fieldpoly import squarefree
 from conftest import SEED
 
 
+def is_nilpotent(a, p):
+    """a^n = 0 for the n x n matrix a over F_p."""
+    return not np.any(linalg.mat_pow(a, a.shape[0], p))
+
+
 def random_matrix(rng, p, rows, cols):
     return np.array(
         [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
@@ -63,11 +68,11 @@ class TestRref:
 class TestMatrixOps:
     def test_nilpotent_shift(self):
         a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64)
-        assert linalg.is_nilpotent(a, 5)
+        assert is_nilpotent(a, 5)
 
     def test_diagonal_not_nilpotent(self):
         a = np.diag([1, 2, 0]).astype(np.int64)
-        assert not linalg.is_nilpotent(a, 5)
+        assert not is_nilpotent(a, 5)
 
     def test_minimal_polynomial_diagonal(self):
         a = np.diag([1, 1, 2]).astype(np.int64)

@@ -56,6 +56,7 @@ from poismodp.structure import (
     trivial_structure,
 )
 
+from test_linalg import is_nilpotent
 from test_structure import draw_cubic_potential, draw_skew, draw_structure
 
 
@@ -589,7 +590,7 @@ def enumerated_predicates(s, group):
     inferable = all(
         squarefree(linalg.minimal_polynomial(d.matrix(), s.p)) for d in elements)
     quasi = not any(
-        linalg.is_nilpotent(d.matrix(), s.p) for d in elements if not d.is_zero())
+        is_nilpotent(d.matrix(), s.p) for d in elements if not d.is_zero())
     return inferable, quasi
 
 

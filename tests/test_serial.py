@@ -208,6 +208,30 @@ class TestFieldTypes:
             load_derivation({"images": "x1"}, struct, names)
 
 
+class TestDuplicateNames:
+    """A name given twice in 'vars' would make polynomial text ambiguous
+    (the last one would win); equal Ore image strings are legitimate."""
+
+    @pytest.mark.parametrize("make, path, names", [
+        (explicit_obj, ("vars",), ["x", "x"]),
+        (skew_obj, ("vars",), ["x1", "x2", "x1"]),
+        (ore_obj, ("vars",), ["y", "y"]),
+        (ore_obj, ("bracket", "base", "vars"), ["x1", "x1"]),
+    ])
+    def test_repeated_name_rejected(self, make, path, names):
+        obj = make()
+        set_field(obj, path, names)
+        with pytest.raises(ParseError, match="repeats a name"):
+            load_algebra(obj)
+
+    def test_equal_ore_images_accepted(self):
+        obj = ore_obj()
+        obj["bracket"]["alpha"] = ["x1^2"]
+        struct, names = load_algebra(obj)
+        assert names == ["x1", "x2"]
+        assert struct.entry(0, 1) == parse_poly("x1^2*x2 + x1^2", 5, 2)
+
+
 class TestRoundtrip:
     def test_skew_roundtrip(self):
         struct, names = load_algebra(skew_obj())
