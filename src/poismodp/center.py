@@ -21,7 +21,7 @@ from .errors import (
     WrongArity,
 )
 from .fieldpoly import MultiPoly, monomials_of_degree, monomials_upto_degree
-from .linalg import coeff_matrix, derivation_matrix, vec_to_poly
+from .linalg import coeff_matrix, derivation_entries, derivation_matrix, vec_to_poly
 from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 
 # ---------------------------------------------------------------------
@@ -305,14 +305,15 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
 
 def graded_kernel(p: int, n: int, max_degree: int, operators, limits: Limits):
     """Hilbert function and graded basis of the joint kernel of the maps
-    on A_d = span(src) stacked in the array `operators(d, src)`, degree
-    by degree up to max_degree; with no maps, the kernel is all of A_d."""
+    on A_d = span(src) stacked into the one matrix `operators(d, src)`,
+    dense or as `linalg.Entries`, degree by degree up to max_degree; with
+    no maps, the kernel is all of A_d."""
     hilbert = []
     graded_basis: dict[int, list[MultiPoly]] = {}
     for d in range(max_degree + 1):
         src = monomials_of_degree(n, d)
         limits.check("columns", len(src), f"columns at degree {d}")
-        kernel = linalg.nullspace(operators(d, src).reshape(-1, len(src)), p)
+        kernel = linalg.nullspace(operators(d, src), p)
         graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
         hilbert.append(len(kernel))
     return hilbert, graded_basis
@@ -331,8 +332,11 @@ def center_oracle(
     if not struct.graded:
         return _center_oracle_filtered(struct, max_degree, limits)
     p, n = struct.p, struct.n
+    images = [a.images for a in struct.ad]
     hilbert, graded_basis = graded_kernel(
-        p, n, max_degree, lambda d, src: bracket_matrices(struct, d), limits
+        p, n, max_degree,
+        lambda d, src: derivation_entries(images, src, monomials_of_degree(n, d + 1)),
+        limits,
     )
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
@@ -352,8 +356,7 @@ def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
     limits.check("columns", len(src), "filtration columns")
     hmax = max((h.degree() for h in struct.table.values()), default=0)
     tgt = monomials_upto_degree(n, max_degree + max(hmax - 1, 0))
-    ops = derivation_matrix([a.images for a in struct.ad], src, tgt)
-    kernel = linalg.nullspace(ops.reshape(-1, len(src)), p)
+    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], src, tgt), p)
     basis_polys = [vec_to_poly(v, p, n, src) for v in kernel]
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d

@@ -8,18 +8,22 @@ free columns in ascending order.
 row/column incidence graph before eliminating: a column alone in its
 block is decided by whether it is zero, and each larger block gets one
 dense `rref`.  The operator matrices of the center engines are very
-sparse and fall apart into thousands of such blocks.
+sparse and fall apart into thousands of such blocks, so `nullspace` also
+takes a matrix as its nonzero `Entries`, and the degreewise kernels never
+build the dense operator stack.
 
 Polynomials and matrices on a monomial basis meet only here, and only
 here is a basis held as an int64 exponent array: `coeff_matrix` and
 `derivation_matrix` fill whole arrays from polynomial terms,
-`multiplication_matrices` from exponents alone, and `vec_to_poly` reads
-a vector back.
+`derivation_entries` lists the nonzero entries of the same operators,
+`multiplication_matrices` fills arrays from exponents alone, and
+`vec_to_poly` reads a vector back.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,15 +41,43 @@ def coeff_matrix(polys, basis) -> np.ndarray:
     return m
 
 
-def derivation_matrix(derivations, src, tgt) -> np.ndarray:
-    """Matrices of the derivations x_j |-> images[j], one per image list
-    in `derivations`, from span(src) into span(tgt), as one
-    (len(derivations), len(tgt), len(src)) array, computed on exponents:
-    delta(x^e) = sum_j e_j x^(e - eps_j) images[j].
+class Entries(NamedTuple):
+    """A matrix of the given shape by its nonzero entries: vals[k], in
+    [1, p), at (rows[k], cols[k]), no position twice."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _derivation_products(derivations, src, tgt):
+    """Every product e_j c x^(e - eps_j + f) of delta(x^e) = sum_j e_j
+    x^(e - eps_j) images[j], for c x^f a term of images[j], as the arrays
+    (derivation, target row, source column, e_j c) of one cell each, a
+    cell possibly several times; None when there are no image terms.
 
     The sources are one int64 exponent array.  All image terms of all
     derivations are taken at once: each shifts the sources with
     e_j != 0 mod p, and one lookup finds all target rows.
+    """
+    terms = [(k, j, e, c) for k, images in enumerate(derivations)
+             for j, g in enumerate(images) for e, c in g.terms.items()]
+    if not terms:
+        return None
+    p = derivations[0][0].p
+    ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
+    shifts[np.arange(len(js)), js] -= 1
+    exps = _exponent_table(tuple(src), shifts.shape[1])[0]
+    powers = exps[:, js] % p  # e_j of every source, one column per term
+    s, t = powers.nonzero()
+    return ks[t], _row_index(tgt, exps[s] + shifts[t]), s, powers[s, t] * coeffs[t]
+
+
+def derivation_matrix(derivations, src, tgt) -> np.ndarray:
+    """Matrices of the derivations x_j |-> images[j], one per image list
+    in `derivations`, from span(src) into span(tgt), as one
+    (len(derivations), len(tgt), len(src)) array.
 
     The array is written in full, not left to the lazily zeroed pages of
     np.zeros: numpy asks the kernel for 2 MiB pages on large arrays, so
@@ -53,21 +85,33 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
     the machine has such pages free at that moment.
     """
     m = np.full((len(derivations), len(tgt), len(src)), 0, dtype=np.int64)
-    terms = [(k, j, e, c) for k, images in enumerate(derivations)
-             for j, g in enumerate(images) for e, c in g.terms.items()]
-    if not terms:
+    products = _derivation_products(derivations, src, tgt)
+    if products is None:
         return m
-    p = derivations[0][0].p
-    ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
-    shifts[np.arange(len(js)), js] -= 1
-    exps = _exponent_table(tuple(src), shifts.shape[1])[0]
-    powers = exps[:, js] % p  # e_j of every source, one column per term
-    s, t = powers.nonzero()
-    cells = (ks[t], _row_index(tgt, exps[s] + shifts[t]), s)
+    *cells, vals = products
     # each cell sums at most n products below p^2: exact in int64
-    np.add.at(m, cells, powers[s, t] * coeffs[t])
-    m[cells] %= p
+    np.add.at(m, tuple(cells), vals)
+    m[tuple(cells)] %= derivations[0][0].p
     return m
+
+
+def derivation_entries(derivations, src, tgt) -> Entries:
+    """`derivation_matrix(derivations, src, tgt)` with its matrices
+    stacked into one (len(derivations) * len(tgt), len(src)) matrix, as
+    its nonzero entries, in row-major order: the dense stack, almost all
+    zeros for the center's operators, is never built."""
+    shape = (len(derivations) * len(tgt), len(src))
+    products = _derivation_products(derivations, src, tgt)
+    if products is None:
+        return Entries(shape, *np.zeros((3, 0), dtype=np.int64))
+    ks, rows, cols, vals = products
+    flat, cell = np.unique((ks * len(tgt) + rows) * len(src) + cols, return_inverse=True)
+    # each cell sums at most n products below p^2: exact in int64
+    sums = np.zeros(len(flat), dtype=np.int64)
+    np.add.at(sums, cell, vals)
+    sums %= derivations[0][0].p
+    keep = sums.nonzero()[0]
+    return Entries(shape, *np.divmod(flat[keep], len(src)), sums[keep])
 
 
 @lru_cache(maxsize=None)
@@ -173,18 +217,21 @@ def _reduced(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Connected blocks of the incidence graph of a reduced matrix, in
-    which column c meets row r when a[r, c] != 0.
+def _blocks(a) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Connected blocks of the incidence graph of a reduced matrix, dense
+    or as `Entries`, in which column c meets row r when a[r, c] != 0.
 
     Returns the mask of the zero columns, and the (rows, columns) of
     every block of more than one column, both ascending.  The columns
     in neither are nonzero columns alone in their block: pivots.
     """
     rows, cols = a.shape
-    # the flat nonzeros of a boolean mask are found several times faster
-    # than np.nonzero(a) on a large int64 matrix
-    r, c = np.divmod((a != 0).ravel().nonzero()[0], cols)
+    if isinstance(a, Entries):
+        r, c = a.rows, a.cols
+    else:
+        # the flat nonzeros of a boolean mask are found several times
+        # faster than np.nonzero(a) on a large int64 matrix
+        r, c = np.divmod((a != 0).ravel().nonzero()[0], cols)
     # min-label propagation with pointer jumping: every column ends up
     # labelled by the least column of its block.  Labels only decrease,
     # so equal sums mean a fixed point.
@@ -205,6 +252,23 @@ def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarra
     return np.bincount(c, minlength=cols) == 0, blocks
 
 
+def _block_matrices(a, blocks):
+    """The dense submatrix a[rs][:, cs] of each block (rs, cs) of a."""
+    if not isinstance(a, Entries):
+        yield from (a[rs][:, cs] for rs, cs in blocks)
+        return
+    block_of = np.full(a.shape[1], len(blocks))
+    for b, (_, cs) in enumerate(blocks):
+        block_of[cs] = b
+    order = np.argsort(block_of[a.cols], kind="stable")
+    ends = np.searchsorted(block_of[a.cols][order], np.arange(len(blocks) + 1))
+    for b, (rs, cs) in enumerate(blocks):
+        e = order[ends[b]:ends[b + 1]]
+        sub = np.zeros((len(rs), len(cs)), dtype=np.int64)
+        sub[np.searchsorted(rs, a.rows[e]), np.searchsorted(cs, a.cols[e])] = a.vals[e]
+        yield sub
+
+
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of a: its nonzero columns less the nullity of each block."""
     a = _reduced(a, p)
@@ -214,19 +278,21 @@ def rank(a: np.ndarray, p: int) -> int:
     )
 
 
-def nullspace(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace of a, one vector per free column.
+def nullspace(a, p: int) -> list[np.ndarray]:
+    """Basis of the right nullspace of a, a dense matrix or its nonzero
+    `Entries`, one vector per free column.
 
     Up to a permutation a is block diagonal, so its pivot columns are
     those of its blocks, and the vector of a free column, its unique
     expression in the pivot columns, lies in that column's block: the
     basis is the one a single rref of a would give, vector for vector.
     """
-    a = _reduced(a, p)
+    if not isinstance(a, Entries):
+        a = _reduced(a, p)
     free, blocks = _blocks(a)
     solved = []
-    for rs, cs in blocks:
-        m, pivots = rref(a[rs][:, cs], p)
+    for (rs, cs), sub in zip(blocks, _block_matrices(a, blocks)):
+        m, pivots = rref(sub, p)
         own = np.ones(len(cs), dtype=bool)
         own[pivots] = False
         free[cs[own]] = True

@@ -320,7 +320,7 @@ def c_loz(
     images = [delta.images for delta, _ in group.basis]
     hilbert, graded_basis = graded_kernel(
         struct.p, struct.n, max_degree,
-        lambda d, src: derivation_matrix(images, src, src), limits,
+        lambda d, src: derivation_matrix(images, src, src).reshape(-1, len(src)), limits,
     )
     return CenterReport(
         engine="loz-kernel",

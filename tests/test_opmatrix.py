@@ -22,7 +22,13 @@ from poismodp.fieldpoly import (
     monomials_upto_degree,
     parse_poly,
 )
-from poismodp.linalg import coeff_matrix, derivation_matrix, multiplication_matrices
+from poismodp.linalg import (
+    coeff_matrix,
+    derivation_entries,
+    derivation_matrix,
+    multiplication_matrices,
+    nullspace,
+)
 from poismodp.structure import SkewMatrix, explicit_structure, from_skew_matrix
 
 BOUNDED = settings(derandomize=True, max_examples=30, deadline=None)
@@ -184,6 +190,55 @@ class TestDerivationArray:
             src, tgt = monomials_of_degree(3, 4), monomials_of_degree(3, 5)
             for a, m in zip(struct.ad, bracket_matrices(struct, 4)):
                 assert np.array_equal(m, tuple_loop_matrix(a.images, src, tgt))
+
+
+class TestDerivationEntries:
+    """`derivation_entries` lists the nonzero entries of the stacked
+    `derivation_matrix`, in row-major order, and `nullspace` of them is
+    `nullspace` of the dense stack."""
+
+    @staticmethod
+    def assert_entries_of_stack(derivations, src, tgt, p):
+        stack = derivation_matrix(derivations, src, tgt).reshape(-1, len(src))
+        entries = derivation_entries(derivations, src, tgt)
+        assert entries.shape == stack.shape
+        rows, cols = stack.nonzero()
+        assert entries.rows.tolist() == rows.tolist()
+        assert entries.cols.tolist() == cols.tolist()
+        assert entries.vals.tolist() == stack[rows, cols].tolist()
+        dense, sparse = nullspace(stack, p), nullspace(entries, p)
+        assert len(dense) == len(sparse)
+        assert all(np.array_equal(v, w) for v, w in zip(dense, sparse))
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+    def test_random_derivations(self, data, p, n, top, k):
+        derivations = [[data.draw(polys(p, n, 3)) for _ in range(n)] for _ in range(k)]
+        src, tgt = monomials_upto_degree(n, top), monomials_upto_degree(n, top + 2)
+        self.assert_entries_of_stack(derivations, src, tgt, p)
+
+    def test_skew_4x4_stack(self):
+        # the largest operators of the center jobs: every product of a
+        # column lands on one target monomial, and some cancel mod p
+        c = SkewMatrix.from_rows(5, [[0, 4, 4, 2], [1, 0, 0, 4], [1, 0, 0, 3], [3, 1, 2, 0]])
+        struct = from_skew_matrix(c)
+        for d in (0, 5, 9):
+            src, tgt = monomials_of_degree(4, d), monomials_of_degree(4, d + 1)
+            self.assert_entries_of_stack([a.images for a in struct.ad], src, tgt, 5)
+
+    @pytest.mark.parametrize("form", potential_catalog(7), ids=lambda f: f.label)
+    def test_catalog_stacks(self, form):
+        # these fall apart into blocks of several columns
+        struct = form.structure()
+        for d in (2, 6, 11):
+            src, tgt = monomials_of_degree(3, d), monomials_of_degree(3, d + 1)
+            self.assert_entries_of_stack([a.images for a in struct.ad], src, tgt, 7)
+
+    def test_no_derivations(self):
+        src, tgt = monomials_of_degree(3, 2), monomials_of_degree(3, 3)
+        entries = derivation_entries([], src, tgt)
+        assert entries.shape == (0, 6) and len(entries.vals) == 0
+        assert len(nullspace(entries, 5)) == 6
 
 
 @st.composite
