@@ -143,6 +143,8 @@ def catalog_form(p: int, form_id: str, lam: Optional[int] = None) -> PotentialFo
         raise SmallCharacteristic("the catalog assumes p > 3")
     if form_id not in FORM_IDS:
         raise PoisError(f"unknown catalog form {form_id!r}")
+    if form_id != "Elliptic" and lam is not None:
+        raise PoisError(f"only the Elliptic form has a lambda, not {form_id}")
     if form_id == "Elliptic" and lam is None:
         lam = 0
     return _make_form(form_id, p, lam)

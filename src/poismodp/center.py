@@ -303,17 +303,21 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
     return all(struct.bracket_with_gen(i, f).is_zero for i in range(struct.n))
 
 
-def graded_kernel(p: int, n: int, max_degree: int, operators, limits: Limits):
-    """Hilbert function and graded basis of the joint kernel of the maps
-    on A_d = span(src) stacked into the one matrix `operators(d, src)`,
-    dense or as `linalg.Entries`, degree by degree up to max_degree; with
-    no maps, the kernel is all of A_d."""
+def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
+    """Hilbert function and graded basis of the joint kernel of the
+    derivations x_j |-> images[j], one per image list in `derivations`,
+    degree by degree up to max_degree.  Their images are homogeneous of
+    one degree h, so each maps A_d into A_{d+h-1}; with no nonzero image,
+    the kernel is all of A_d."""
+    h = max((g.degree() for images in derivations for g in images if not g.is_zero),
+            default=1)
     hilbert = []
     graded_basis: dict[int, list[MultiPoly]] = {}
     for d in range(max_degree + 1):
         src = monomials_of_degree(n, d)
         limits.check("columns", len(src), f"columns at degree {d}")
-        kernel = linalg.nullspace(operators(d, src), p)
+        tgt = monomials_of_degree(n, d + h - 1)
+        kernel = linalg.nullspace(derivation_entries(derivations, src, tgt), p)
         graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
         hilbert.append(len(kernel))
     return hilbert, graded_basis
@@ -333,11 +337,7 @@ def center_oracle(
         return _center_oracle_filtered(struct, max_degree, limits)
     p, n = struct.p, struct.n
     images = [a.images for a in struct.ad]
-    hilbert, graded_basis = graded_kernel(
-        p, n, max_degree,
-        lambda d, src: derivation_entries(images, src, monomials_of_degree(n, d + 1)),
-        limits,
-    )
+    hilbert, graded_basis = graded_kernel(p, n, max_degree, images, limits)
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
         engine="oracle",
@@ -354,9 +354,8 @@ def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
     p, n = struct.p, struct.n
     src = monomials_upto_degree(n, max_degree)
     limits.check("columns", len(src), "filtration columns")
-    hmax = max((h.degree() for h in struct.table.values()), default=0)
-    tgt = monomials_upto_degree(n, max_degree + max(hmax - 1, 0))
-    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], src, tgt), p)
+    # rows: the monomials the brackets reach, not all of a degree bound
+    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], src), p)
     basis_polys = [vec_to_poly(v, p, n, src) for v in kernel]
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d

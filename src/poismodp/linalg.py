@@ -4,20 +4,19 @@ Entries are kept reduced in [0, p).  Everything here is deterministic:
 pivots are chosen first-nonzero top-down, nullspace vectors follow the
 free columns in ascending order.
 
-`nullspace` and `rank` split a matrix into the connected blocks of its
-row/column incidence graph before eliminating: a column alone in its
-block is decided by whether it is zero, and each larger block gets one
-dense `rref`.  The operator matrices of the center engines are very
-sparse and fall apart into thousands of such blocks, so `nullspace` also
-takes a matrix as its nonzero `Entries`, and the degreewise kernels never
-build the dense operator stack.
+`nullspace` and `rank` eliminate a matrix as its nonzero `Entries`, into
+which `_entries` turns a dense one.  They split it into the connected
+blocks of its row/column incidence graph: a column alone in its block is
+decided by whether it is zero, and each larger block gets one dense
+`rref`.  The center's operators are very sparse and fall apart into
+thousands of such blocks, so their dense stack is never built.
 
 Polynomials and matrices on a monomial basis meet only here, and only
-here is a basis held as an int64 exponent array: `coeff_matrix` and
-`derivation_matrix` fill whole arrays from polynomial terms,
-`derivation_entries` lists the nonzero entries of the same operators,
-`multiplication_matrices` fills arrays from exponents alone, and
-`vec_to_poly` reads a vector back.
+here is a basis held as an int64 exponent array: `coeff_matrix` fills a
+whole array from polynomial terms, `derivation_entries` lists the
+nonzero entries of the operators of derivations and `derivation_matrix`
+writes them into a dense array, `multiplication_matrices` fills arrays
+from exponents alone, and `vec_to_poly` reads a vector back.
 """
 
 from __future__ import annotations
@@ -51,32 +50,50 @@ class Entries(NamedTuple):
     vals: np.ndarray
 
 
-def _derivation_products(derivations, src, tgt):
-    """Every product e_j c x^(e - eps_j + f) of delta(x^e) = sum_j e_j
-    x^(e - eps_j) images[j], for c x^f a term of images[j], as the arrays
-    (derivation, target row, source column, e_j c) of one cell each, a
-    cell possibly several times; None when there are no image terms.
+def derivation_entries(derivations, src, tgt=None) -> Entries:
+    """The matrices of the derivations x_j |-> images[j], one per image
+    list in `derivations`, from span(src) into span(tgt), stacked into one
+    (len(derivations) * len(tgt), len(src)) matrix, as its nonzero
+    entries in row-major order.  Without `tgt`, the rows of each matrix
+    are the target monomials some derivation reaches, so that no basis
+    of unreached targets is ever listed.
 
-    The sources are one int64 exponent array.  All image terms of all
+    delta(x^e) = sum_j e_j x^(e - eps_j) images[j] is summed from the
+    products e_j c x^(e - eps_j + f), for c x^f a term of images[j].  The
+    sources are one int64 exponent array; all image terms of all
     derivations are taken at once: each shifts the sources with
     e_j != 0 mod p, and one lookup finds all target rows.
     """
     terms = [(k, j, e, c) for k, images in enumerate(derivations)
              for j, g in enumerate(images) for e, c in g.terms.items()]
     if not terms:
-        return None
+        shape = (len(derivations) * len(tgt or ()), len(src))
+        return Entries(shape, *np.zeros((3, 0), dtype=np.int64))
     p = derivations[0][0].p
     ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
     shifts[np.arange(len(js)), js] -= 1
     exps = _exponent_table(tuple(src), shifts.shape[1])[0]
     powers = exps[:, js] % p  # e_j of every source, one column per term
     s, t = powers.nonzero()
-    return ks[t], _row_index(tgt, exps[s] + shifts[t]), s, powers[s, t] * coeffs[t]
+    if tgt is None:
+        tgt, rows = np.unique(_row_keys(exps[s] + shifts[t]), return_inverse=True)
+    else:
+        rows = _row_index(tgt, exps[s] + shifts[t])
+    flat = (ks[t] * len(tgt) + rows) * len(src) + s
+    order = flat.argsort()
+    flat = flat[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    first = first.nonzero()[0]
+    # each cell sums at most n products below p^2: exact in int64
+    sums = np.add.reduceat((powers[s, t] * coeffs[t])[order], first) % p
+    keep = sums.nonzero()[0]
+    shape = (len(derivations) * len(tgt), len(src))
+    return Entries(shape, *np.divmod(flat[first[keep]], len(src)), sums[keep])
 
 
 def derivation_matrix(derivations, src, tgt) -> np.ndarray:
-    """Matrices of the derivations x_j |-> images[j], one per image list
-    in `derivations`, from span(src) into span(tgt), as one
+    """`derivation_entries(derivations, src, tgt)` written into one dense
     (len(derivations), len(tgt), len(src)) array.
 
     The array is written in full, not left to the lazily zeroed pages of
@@ -85,33 +102,9 @@ def derivation_matrix(derivations, src, tgt) -> np.ndarray:
     the machine has such pages free at that moment.
     """
     m = np.full((len(derivations), len(tgt), len(src)), 0, dtype=np.int64)
-    products = _derivation_products(derivations, src, tgt)
-    if products is None:
-        return m
-    *cells, vals = products
-    # each cell sums at most n products below p^2: exact in int64
-    np.add.at(m, tuple(cells), vals)
-    m[tuple(cells)] %= derivations[0][0].p
+    entries = derivation_entries(derivations, src, tgt)
+    m.reshape(entries.shape)[entries.rows, entries.cols] = entries.vals
     return m
-
-
-def derivation_entries(derivations, src, tgt) -> Entries:
-    """`derivation_matrix(derivations, src, tgt)` with its matrices
-    stacked into one (len(derivations) * len(tgt), len(src)) matrix, as
-    its nonzero entries, in row-major order: the dense stack, almost all
-    zeros for the center's operators, is never built."""
-    shape = (len(derivations) * len(tgt), len(src))
-    products = _derivation_products(derivations, src, tgt)
-    if products is None:
-        return Entries(shape, *np.zeros((3, 0), dtype=np.int64))
-    ks, rows, cols, vals = products
-    flat, cell = np.unique((ks * len(tgt) + rows) * len(src) + cols, return_inverse=True)
-    # each cell sums at most n products below p^2: exact in int64
-    sums = np.zeros(len(flat), dtype=np.int64)
-    np.add.at(sums, cell, vals)
-    sums %= derivations[0][0].p
-    keep = sums.nonzero()[0]
-    return Entries(shape, *np.divmod(flat[keep], len(src)), sums[keep])
 
 
 @lru_cache(maxsize=None)
@@ -209,42 +202,43 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _reduced(a: np.ndarray, p: int) -> np.ndarray:
-    """a with its entries in [0, p): a itself when they already are, as
-    operator matrices are, so that no copy of a large stack is made."""
+def _entries(a: np.ndarray, p: int) -> Entries:
+    """The nonzero entries of a dense matrix mod p, in row-major order.
+    a is reduced only when some entry lies outside [0, p), as none of an
+    operator matrix does, so that no copy of a large stack is made."""
     if a.size and (a.min() < 0 or a.max() >= p):
-        return a % p
-    return a
+        a = a % p
+    # the flat nonzeros of a boolean mask are found several times
+    # faster than np.nonzero(a) on a large int64 matrix
+    flat = (a != 0).ravel().nonzero()[0]
+    return Entries(a.shape, *np.divmod(flat, a.shape[1]), a.ravel()[flat])
 
 
-def _blocks(a) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Connected blocks of the incidence graph of a reduced matrix, dense
-    or as `Entries`, in which column c meets row r when a[r, c] != 0.
+def _blocks(a: Entries) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Connected blocks of the incidence graph of a matrix given by its
+    nonzero entries, in which column c meets row r when a[r, c] != 0.
 
     Returns the mask of the zero columns, and the (rows, columns) of
     every block of more than one column, both ascending.  The columns
     in neither are nonzero columns alone in their block: pivots.
     """
     rows, cols = a.shape
-    if isinstance(a, Entries):
-        r, c = a.rows, a.cols
-    else:
-        # the flat nonzeros of a boolean mask are found several times
-        # faster than np.nonzero(a) on a large int64 matrix
-        r, c = np.divmod((a != 0).ravel().nonzero()[0], cols)
+    r, c = a.rows, a.cols
     # min-label propagation with pointer jumping: every column ends up
     # labelled by the least column of its block.  Labels only decrease,
     # so equal sums mean a fixed point.
-    label = np.arange(cols)
+    label, total = np.arange(cols), cols * (cols - 1) // 2  # sum of the labels
+    row_min = np.empty(rows, dtype=np.int64)
     while True:
-        row_min = np.full(rows, cols)
+        row_min.fill(cols)
         np.minimum.at(row_min, r, label[c])
         new = label.copy()
         np.minimum.at(new, c, row_min[r])
         new = new[new]
-        if new.sum() == label.sum():
+        new_total = int(new.sum())
+        if new_total == total:
             break
-        label = new
+        label, total = new, new_total
     row_label = np.full(rows, -1)
     row_label[r] = label[c]
     blocks = [((row_label == b).nonzero()[0], (label == b).nonzero()[0])
@@ -252,30 +246,43 @@ def _blocks(a) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     return np.bincount(c, minlength=cols) == 0, blocks
 
 
-def _block_matrices(a, blocks):
+def _block_matrices(a: Entries, blocks):
     """The dense submatrix a[rs][:, cs] of each block (rs, cs) of a."""
-    if not isinstance(a, Entries):
-        yield from (a[rs][:, cs] for rs, cs in blocks)
-        return
     block_of = np.full(a.shape[1], len(blocks))
     for b, (_, cs) in enumerate(blocks):
         block_of[cs] = b
-    order = np.argsort(block_of[a.cols], kind="stable")
-    ends = np.searchsorted(block_of[a.cols][order], np.arange(len(blocks) + 1))
+    which = block_of[a.cols]
+    order = which.argsort()
+    ends = which[order].searchsorted(np.arange(len(blocks) + 1))
+    rows, cols, vals = a.rows[order], a.cols[order], a.vals[order]
     for b, (rs, cs) in enumerate(blocks):
-        e = order[ends[b]:ends[b + 1]]
+        e = slice(ends[b], ends[b + 1])
         sub = np.zeros((len(rs), len(cs)), dtype=np.int64)
-        sub[np.searchsorted(rs, a.rows[e]), np.searchsorted(cs, a.cols[e])] = a.vals[e]
+        sub[rs.searchsorted(rows[e]), cs.searchsorted(cols[e])] = vals[e]
         yield sub
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    """Rank of a: its nonzero columns less the nullity of each block."""
-    a = _reduced(a, p)
-    zero, blocks = _blocks(a)
-    return int(np.count_nonzero(~zero)) - sum(
-        len(cs) - len(rref(a[rs][:, cs], p)[1]) for rs, cs in blocks
-    )
+def _eliminate(a, p: int):
+    """One rref per block of several columns of a, a dense matrix or its
+    nonzero `Entries`.  Returns the mask of the free columns, and for
+    each such block its free columns, its pivot columns and the rows of
+    its rref that express the free columns in the pivot columns."""
+    if not isinstance(a, Entries):
+        a = _entries(a, p)
+    free, blocks = _blocks(a)
+    solved = []
+    for (rs, cs), sub in zip(blocks, _block_matrices(a, blocks)):
+        m, pivots = rref(sub, p)
+        own = np.ones(len(cs), dtype=bool)
+        own[pivots] = False
+        free[cs[own]] = True
+        solved.append((cs[own], cs[pivots], m[: len(pivots), own]))
+    return free, solved
+
+
+def rank(a, p: int) -> int:
+    """Rank of a, dense or as `Entries`: its columns less its free ones."""
+    return a.shape[1] - int(np.count_nonzero(_eliminate(a, p)[0]))
 
 
 def nullspace(a, p: int) -> list[np.ndarray]:
@@ -287,16 +294,7 @@ def nullspace(a, p: int) -> list[np.ndarray]:
     expression in the pivot columns, lies in that column's block: the
     basis is the one a single rref of a would give, vector for vector.
     """
-    if not isinstance(a, Entries):
-        a = _reduced(a, p)
-    free, blocks = _blocks(a)
-    solved = []
-    for (rs, cs), sub in zip(blocks, _block_matrices(a, blocks)):
-        m, pivots = rref(sub, p)
-        own = np.ones(len(cs), dtype=bool)
-        own[pivots] = False
-        free[cs[own]] = True
-        solved.append((cs[own], cs[pivots], m[: len(pivots), own]))
+    free, solved = _eliminate(a, p)
     free_cols = free.nonzero()[0]
     basis = np.zeros((len(free_cols), a.shape[1]), dtype=np.int64)
     basis[np.arange(len(free_cols)), free_cols] = 1

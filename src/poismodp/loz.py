@@ -318,10 +318,7 @@ def c_loz(
     if not all(delta.is_graded_degree_zero() for delta, _ in group.basis):
         raise ArityMismatch("matrix form needs a graded degree-0 derivation")
     images = [delta.images for delta, _ in group.basis]
-    hilbert, graded_basis = graded_kernel(
-        struct.p, struct.n, max_degree,
-        lambda d, src: derivation_matrix(images, src, src).reshape(-1, len(src)), limits,
-    )
+    hilbert, graded_basis = graded_kernel(struct.p, struct.n, max_degree, images, limits)
     return CenterReport(
         engine="loz-kernel",
         generators=[f for d in range(1, max_degree + 1) for f in graded_basis[d]],

@@ -101,7 +101,7 @@ class PoissonStructure:
 
     __slots__ = ("p", "n", "table", "provenance", "graded", "ad")
 
-    def __init__(self, p, n, table, provenance=None, check=True):
+    def __init__(self, p, n, table, provenance=None):
         require_prime(p)
         if n < 1:
             raise ArityMismatch("a structure needs at least one variable")
@@ -126,7 +126,7 @@ class PoissonStructure:
         self.graded = all(
             h.is_homogeneous() and h.degree() == 2 for h in clean.values()
         )
-        if check and not self.check_jacobi():
+        if not self.check_jacobi():
             raise JacobiViolation("generator table violates the Jacobi identity")
 
     def entry(self, i: int, j: int) -> MultiPoly:
@@ -214,10 +214,9 @@ def from_potential(omega: MultiPoly) -> PoissonStructure:
     return PoissonStructure(p, 3, table, Provenance(kind="potential", omega=omega))
 
 
-def explicit_structure(p, n, entries, check=True) -> PoissonStructure:
-    """Structure from a raw {(i, j): poly} table; set check=False to
-    defer the Jacobi check (negative-test fixtures only)."""
-    return PoissonStructure(p, n, dict(entries), Provenance(kind="explicit"), check=check)
+def explicit_structure(p, n, entries) -> PoissonStructure:
+    """Structure from a raw {(i, j): poly} table."""
+    return PoissonStructure(p, n, dict(entries), Provenance(kind="explicit"))
 
 
 def tensor(a: PoissonStructure, b: PoissonStructure) -> PoissonStructure:

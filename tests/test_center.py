@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,20 @@ class TestOracle:
         # Z = k[x1^5, x2^5]: inside degree <= 5 only constants and two quintics
         assert report.hilbert[4] == 1
         assert report.hilbert[5] == 3
+
+    def test_nongraded_rows_are_the_reached_targets(self):
+        # a bracket of degree 200 reaches few monomials of degree <= 205;
+        # listing all of them (about 1.5 million) peaked at 261 MiB
+        p = 5
+        s = explicit_structure(p, 3, {(0, 1): parse_poly("x3^200", p, 3)})
+        tracemalloc.start()
+        try:
+            report = center_oracle(s, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.hilbert == [1, 2, 3, 4, 5, 8, 11]
+        assert peak < 5 * 2**20
 
     def test_tensor_center_is_product(self):
         p = 3

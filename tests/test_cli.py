@@ -397,6 +397,10 @@ class TestCatalog:
     def test_invalid_lambda(self, capsys):
         assert main(["catalog", "--p", "5", "--form", "Elliptic", "--lam", "4"]) == 2
 
+    def test_lambda_of_a_form_without_one(self, capsys):
+        assert main(["catalog", "--p", "5", "--form", "Cube", "--lam", "3"]) == 2
+        assert "lambda" in capsys.readouterr().err
+
 
 def upper_of(c):
     return tuple(c.entries[i][j] for i in range(c.n) for j in range(i + 1, c.n))

@@ -183,6 +183,9 @@ def assert_split_equals_dense(a, p):
     for v, w in zip(split, dense):
         assert v.dtype == np.int64 and np.array_equal(v, w)
     assert linalg.rank(a, p) == len(linalg.rref(a, p)[1])
+    entries = linalg._entries(a, p)
+    assert [v.tolist() for v in linalg.nullspace(entries, p)] == [v.tolist() for v in dense]
+    assert linalg.rank(entries, p) == len(linalg.rref(a, p)[1])
 
 
 @st.composite
@@ -236,7 +239,7 @@ class TestBlockSplit:
                       [0, 3, 0, 0, 1, 0],
                       [2, 0, 0, 4, 0, 0],
                       [0, 0, 0, 0, 0, 4]], dtype=np.int64)
-        zero, blocks = linalg._blocks(a)
+        zero, blocks = linalg._blocks(linalg._entries(a, 5))
         assert zero.tolist() == [False, False, True, False, False, False]
         assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
             ([0, 2], [0, 3]), ([1], [1, 4])]

@@ -206,9 +206,12 @@ class TestDerivationEntries:
         assert entries.rows.tolist() == rows.tolist()
         assert entries.cols.tolist() == cols.tolist()
         assert entries.vals.tolist() == stack[rows, cols].tolist()
-        dense, sparse = nullspace(stack, p), nullspace(entries, p)
-        assert len(dense) == len(sparse)
-        assert all(np.array_equal(v, w) for v, w in zip(dense, sparse))
+        dense = nullspace(stack, p)
+        # rows numbered by the targets reached: the same row space
+        reached = derivation_entries(derivations, src)
+        for sparse in (nullspace(entries, p), nullspace(reached, p)):
+            assert len(dense) == len(sparse)
+            assert all(np.array_equal(v, w) for v, w in zip(dense, sparse))
 
     @BOUNDED
     @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
