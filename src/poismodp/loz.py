@@ -141,10 +141,13 @@ def _scan_direct(struct, d, homogeneous, limits):
     return found
 
 
-def _block(brackets, mults, rows, p):
-    """The system B_i - sum_j rows[i, j] M_j of a delta with matrix `rows`,
-    its blocks stacked in order of i; given B_i and row i alone, block i."""
-    return ((brackets - np.tensordot(rows, mults, 1)) % p).reshape(-1, mults.shape[-1])
+# matrices per stacked elimination in the eigenspace scan, so that its
+# memory does not grow with the number of candidates
+_STACK = 1024
+
+
+def _chunks(count):
+    return (slice(s, s + _STACK) for s in range(0, count, _STACK))
 
 
 def _digits(index, p, k):
@@ -163,11 +166,13 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     nonzero solution f is normal by the Leibniz rule.  Same answer as
     the direct candidate scan, usually far cheaper.
 
-    Block i depends only on row i of delta's matrix, so its kernel is
-    taken once per row value; a zero block kernel rules delta out, and
-    only the remaining candidates get the full solve.  The monic
-    elements of the survivors' kernels count against the candidate limit
-    before any is built.
+    Block i of the system depends only on row i of delta's matrix, so it
+    is eliminated once per row value; a row value whose block has a
+    pivot in every column rules delta out, and only the remaining
+    candidates get the full system.  Matrices of one shape are
+    eliminated together, `_STACK` at a time.  The monic elements of the
+    survivors' kernels count against the candidate limit before any is
+    built.
     """
     p, n = struct.p, struct.n
     k = len(pder0)
@@ -184,23 +189,28 @@ def _scan_eigenspaces(struct, d, pder0, limits):
         cols = linalg.rref(rows, p)[1]  # a row value is fixed by these entries
         codes = linalg.span(rows[:, cols], p) @ p ** np.arange(len(cols))
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        dead = [u for u, row in enumerate(_digits(first, p, k) @ rows % p)
-                if not linalg.nullspace(_block(brackets[i], mults, row, p), p)]
-        alive &= ~np.isin(inverse, dead)
+        values = _digits(first, p, k) @ rows % p
+        dead = np.zeros(len(values), dtype=bool)
+        for part in _chunks(len(values)):
+            blocks = brackets[i] - np.tensordot(values[part], mults, 1)
+            dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
+        alive &= ~dead[inverse]
     found = []
     elements = 0
-    for g in np.flatnonzero(alive):
-        D = np.tensordot(_digits(g, p, k), pder0, 1) % p
-        kernel = linalg.nullspace(_block(brackets, mults, D, p), p)
-        if not kernel:
-            continue
-        elements += (p ** len(kernel) - 1) // (p - 1)
-        limits.check("candidates", elements, f"normal elements at degree {d}")
-        delta = Derivation.from_matrix(p, D)
-        kmat = np.stack(kernel)
-        for combo in iter_projective_vectors(p, len(kernel)):
-            f = vec_to_poly(np.array(combo) @ kmat % p, p, n, src).monic()
-            found.append((f, delta))
+    survivors = np.flatnonzero(alive)
+    for part in _chunks(len(survivors)):
+        D = np.tensordot(_digits(survivors[part], p, k), pder0, 1) % p
+        systems = brackets - np.tensordot(D, mults, 1)  # [b, i]: block i of D[b]
+        m, pivots = linalg.rref_stack(systems.reshape(len(D), -1, len(src)), p)
+        for b in (~pivots.all(axis=1)).nonzero()[0]:
+            kernel = linalg.rref_kernel(m[b], pivots[b], p)
+            elements += (p ** len(kernel) - 1) // (p - 1)
+            limits.check("candidates", elements, f"normal elements at degree {d}")
+            delta = Derivation.from_matrix(p, D[b])
+            kmat = np.stack(kernel)
+            for combo in iter_projective_vectors(p, len(kernel)):
+                f = vec_to_poly(np.array(combo) @ kmat % p, p, n, src).monic()
+                found.append((f, delta))
     return found
 
 
@@ -221,7 +231,9 @@ def enumerate_normal(
         for d in range(1, dmax + 1):
             n_monos = len(monomials_of_degree(struct.n, d))
             direct_cost = (p**n_monos - 1) // (p - 1)
-            # per candidate, the row filter costs about 1/100 of a direct test
+            # in direct tests (13-70 us at p=5, n=3): the pass over the p^k
+            # candidates costs about 1/100 of one per candidate (0.3 us at
+            # k=9), a row value at most one (8-17 us in stacks of 100)
             eig_cost = struct.n * p ** min(len(pder0), struct.n) + p**len(pder0) // 100
             if direct_cost <= eig_cost or p ** len(pder0) > limits.candidates:
                 batch = _scan_direct(struct, d, True, limits)

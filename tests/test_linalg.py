@@ -248,6 +248,72 @@ class TestBlockSplit:
             [0, 0, 1, 0, 0, 0], [3, 0, 0, 1, 0, 0], [0, 3, 0, 0, 1, 0]]
 
 
+# ---------------------------------------------------------------------
+# Stacked eliminations against one rref per matrix
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def stacks(draw):
+    """A (B, R, C) stack and its prime, B, R or C possibly 0.  Members are
+    random, sparse, zero or of full rank min(R, C); entries are sometimes
+    left unreduced, as the eigenspace scan's systems are."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    count, rows, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    members = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["random", "sparse", "zero", "full"]))
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                max_size=rows * cols))
+        a = np.array(entries, dtype=np.int64).reshape(rows, cols)
+        if kind == "sparse":
+            a[np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                     max_size=rows * cols)), dtype=bool).reshape(rows, cols)] = 0
+        elif kind == "zero":
+            a[:] = 0
+        elif kind == "full":
+            # a unit lower triangle times an echelon form with unit pivots
+            lower = np.tril(np.resize(a, (rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+            echelon = np.triu(a, 1) + np.eye(rows, cols, dtype=np.int64)
+            perm = draw(st.permutations(range(cols)))
+            a = (lower @ echelon % p)[:, perm]
+            assert linalg.rank(a, p) == min(rows, cols)
+        members.append(a)
+    stack = np.array(members, dtype=np.int64).reshape(count, rows, cols)
+    if draw(st.booleans()):
+        stack = stack + p * draw(st.sampled_from([-1, 1, 2]))
+    return stack, p
+
+
+class TestRrefStack:
+    """Member b of `rref_stack` is `rref` of that matrix alone, and
+    `rref_kernel` reads off `nullspace`'s basis, vector for vector."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(stacks())
+    def test_matches_one_rref_per_matrix(self, case):
+        a, p = case
+        before = a.copy()
+        m, pivots = linalg.rref_stack(a, p)
+        assert np.array_equal(a, before)
+        assert m.shape == a.shape and m.dtype == np.int64
+        assert pivots.shape == (a.shape[0], a.shape[2]) and pivots.dtype == bool
+        for b in range(len(a)):
+            ref, ref_pivots = linalg.rref(a[b], p)
+            assert np.array_equal(m[b], ref)
+            assert pivots[b].nonzero()[0].tolist() == ref_pivots
+            kernel = linalg.rref_kernel(m[b], pivots[b], p)
+            assert [v.tolist() for v in kernel] == [v.tolist() for v in linalg.nullspace(a[b], p)]
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+    def test_empty_shapes(self, shape):
+        m, pivots = linalg.rref_stack(np.zeros(shape, dtype=np.int64), 5)
+        assert m.shape == shape and pivots.shape == (shape[0], shape[2])
+        assert not pivots.any()
+        for b in range(shape[0]):
+            assert len(linalg.rref_kernel(m[b], pivots[b], 5)) == shape[2]
+
+
 class TestSpan:
     """`span` lists every F_p-combination in itertools.product order of
     the coefficient vectors."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from poismodp import linalg
 from poismodp.catalog import potential_catalog
-from poismodp.center import UNSTABLE_RANK_NOTE, center_oracle
+from poismodp.center import UNSTABLE_RANK_NOTE, bracket_matrices, center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
     ArityMismatch,
@@ -25,6 +25,7 @@ from poismodp.errors import (
 from poismodp.fieldpoly import (
     MultiPoly,
     format_poly,
+    iter_projective_vectors,
     monomials_of_degree,
     parse_poly,
     squarefree,
@@ -34,6 +35,7 @@ from poismodp.loz import (
     _representatives,
     _elementary_matrices,
     _semisimple_part,
+    _digits,
     _scan_direct,
     _scan_eigenspaces,
     c_loz,
@@ -47,6 +49,7 @@ from poismodp.loz import (
     pder0_matrix_space,
     theorem212_check,
 )
+from poismodp.linalg import vec_to_poly
 from poismodp.structure import (
     SkewMatrix,
     explicit_structure,
@@ -85,6 +88,81 @@ def assert_paths_agree(s, degrees):
         direct = {(f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, Limits())}
         eig = {(f.key(), dd.key()) for f, dd in _scan_eigenspaces(s, d, pder0, Limits())}
         assert direct == eig, d
+
+
+def per_row_value_scan(s, d, pder0):
+    """Reference for `_scan_eigenspaces` without limits: one `nullspace`
+    per row value of each block, then one per surviving candidate."""
+    p, n = s.p, s.n
+    k = len(pder0)
+    src = monomials_of_degree(n, d)
+    brackets = bracket_matrices(s, d)
+    mults = linalg.multiplication_matrices(n, d)
+
+    def block(b, rows):
+        return ((b - np.tensordot(rows, mults, 1)) % p).reshape(-1, len(src))
+
+    alive = np.ones(p**k, dtype=bool)
+    for i in range(n):
+        rows = pder0[:, i, :]
+        cols = linalg.rref(rows, p)[1]
+        codes = linalg.span(rows[:, cols], p) @ p ** np.arange(len(cols))
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        dead = [u for u, row in enumerate(_digits(first, p, k) @ rows % p)
+                if not linalg.nullspace(block(brackets[i], row), p)]
+        alive &= ~np.isin(inverse, dead)
+    found = []
+    for g in np.flatnonzero(alive):
+        D = np.tensordot(_digits(g, p, k), pder0, 1) % p
+        kernel = linalg.nullspace(block(brackets, D), p)
+        if kernel:
+            delta = Derivation.from_matrix(p, D)
+            for combo in iter_projective_vectors(p, len(kernel)):
+                f = vec_to_poly(np.array(combo) @ np.stack(kernel) % p, p, n, src)
+                found.append((f.monic(), delta))
+    return found
+
+
+def skew3(p, upper):
+    """The skew structure on 3 variables with upper triangle (c12, c13, c23)."""
+    c12, c13, c23 = upper
+    return from_skew_matrix(SkewMatrix.from_rows(
+        p, [[0, c12, c13], [-c12, 0, c23], [-c13, -c23, 0]]))
+
+
+# the 3x3 skew matrices of the loz_search benchmark workload for seed 1;
+# (2, 0, 3) and (2, 2, 0) have k = 5 degree-0 Poisson derivations
+LOZ_SKEW_UPPERS = ((2, 0, 3), (4, 4, 1), (0, 0, 1), (2, 2, 0), (3, 1, 1),
+                   (3, 4, 0), (4, 1, 0), (4, 3, 0))
+
+
+def keys(pairs):
+    return [(f.key(), delta.key()) for f, delta in pairs]
+
+
+class TestEigenspaceStacks:
+    """The scan's stacked eliminations give the list the per-row-value
+    kernels gave, element for element, whatever the chunk size."""
+
+    @pytest.mark.parametrize(
+        "s", [f.structure() for f in potential_catalog(5)]
+        + [skew3(5, u) for u in LOZ_SKEW_UPPERS],
+        ids=[f.label for f in potential_catalog(5)]
+        + ["skew" + "".join(map(str, u)) for u in LOZ_SKEW_UPPERS])
+    def test_matches_per_row_value_scan(self, s):
+        pder0 = pder0_matrix_space(s)
+        for d in (1, 2, 3):
+            assert (keys(_scan_eigenspaces(s, d, pder0, Limits()))
+                    == keys(per_row_value_scan(s, d, pder0))), d
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_chunk_size_leaves_the_answer(self, monkeypatch, stack):
+        structures = [cube(5), from_potential(parse_poly("2*x1*x2*x3", 5, 3)),
+                      skew3(5, (2, 2, 0))]
+        expected = [keys(enumerate_normal(s, 3)) for s in structures]
+        assert len(pder0_matrix_space(structures[2])) == 5
+        monkeypatch.setattr("poismodp.loz._STACK", stack)
+        assert [keys(enumerate_normal(s, 3)) for s in structures] == expected
 
 
 class TestNormality:
@@ -237,16 +315,16 @@ class TestEnumerate:
             assert {format_poly(f) for f, _ in pairs} == set(["x1", "x1^2", "x1^3"][:dmax])
 
     def test_cube_row_filter_work(self, monkeypatch):
-        # one kernel per distinct row value of the 5^6 candidate
-        # derivations, then one per survivor; an unpruned scan takes one
-        # per candidate (15 626 nullspaces in all)
+        # the scan eliminates its row values and survivors as stacks, so
+        # the only kernel is pder0_matrix_space's; an unpruned scan would
+        # take one per candidate (15 626 nullspaces in all)
         calls = []
         nullspace = linalg.nullspace
         monkeypatch.setattr(
             linalg, "nullspace", lambda a, p: calls.append(1) or nullspace(a, p)
         )
         assert len(enumerate_normal(cube(5), 3)) == 3
-        assert len(calls) <= 600
+        assert len(calls) == 1
 
     def test_paths_agree(self):
         # degree 3 at p=5 means 2.4M direct candidates; cross-validate the
