@@ -141,13 +141,17 @@ def _scan_direct(struct, d, homogeneous, limits):
     return found
 
 
-# matrices per stacked elimination in the eigenspace scan, so that its
-# memory does not grow with the number of candidates
-_STACK = 1024
+# entries per stacked elimination in the eigenspace scan (4 MiB of
+# int64; a few copies are live at once), so that its memory grows
+# neither with the number of candidates nor with the matrices' shape
+_STACK_ENTRIES = 2**19
 
 
-def _chunks(count):
-    return (slice(s, s + _STACK) for s in range(0, count, _STACK))
+def _chunks(count, shape):
+    """Slices of a stack of `count` matrices of `shape`, each of at most
+    `_STACK_ENTRIES` entries or of one matrix."""
+    size = max(1, _STACK_ENTRIES // max(1, prod(shape)))
+    return (slice(s, s + size) for s in range(0, count, size))
 
 
 def _digits(index, p, k):
@@ -170,9 +174,9 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     is eliminated once per row value; a row value whose block has a
     pivot in every column rules delta out, and only the remaining
     candidates get the full system.  Matrices of one shape are
-    eliminated together, `_STACK` at a time.  The monic elements of the
-    survivors' kernels count against the candidate limit before any is
-    built.
+    eliminated together, up to `_STACK_ENTRIES` entries at a time.  The
+    monic elements of the survivors' kernels count against the candidate
+    limit before any is built.
     """
     p, n = struct.p, struct.n
     k = len(pder0)
@@ -191,14 +195,14 @@ def _scan_eigenspaces(struct, d, pder0, limits):
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         values = _digits(first, p, k) @ rows % p
         dead = np.zeros(len(values), dtype=bool)
-        for part in _chunks(len(values)):
+        for part in _chunks(len(values), brackets[i].shape):
             blocks = brackets[i] - np.tensordot(values[part], mults, 1)
             dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
         alive &= ~dead[inverse]
     found = []
     elements = 0
     survivors = np.flatnonzero(alive)
-    for part in _chunks(len(survivors)):
+    for part in _chunks(len(survivors), brackets.shape):
         D = np.tensordot(_digits(survivors[part], p, k), pder0, 1) % p
         systems = brackets - np.tensordot(D, mults, 1)  # [b, i]: block i of D[b]
         m, pivots = linalg.rref_stack(systems.reshape(len(D), -1, len(src)), p)
@@ -231,9 +235,14 @@ def enumerate_normal(
         for d in range(1, dmax + 1):
             n_monos = len(monomials_of_degree(struct.n, d))
             direct_cost = (p**n_monos - 1) // (p - 1)
-            # in direct tests (13-70 us at p=5, n=3): the pass over the p^k
-            # candidates costs about 1/100 of one per candidate (0.3 us at
-            # k=9), a row value at most one (8-17 us in stacks of 100)
+            # costs in units of one direct test (13-70 us at p=5, n=3).  A
+            # row value costs about one in stacks of about 100 (8-17 us)
+            # and up to about two in stacks of 15-35 (35-110 us); it is
+            # counted as one, since stacks that small mean at most n * 35
+            # row values, which can only tip the choice where the direct
+            # scan is a few hundred tests at most.  The pass over the p^k
+            # candidates costs 0.3 us per candidate (k=9), so one direct
+            # test per 100 candidates.
             eig_cost = struct.n * p ** min(len(pder0), struct.n) + p**len(pder0) // 100
             if direct_cost <= eig_cost or p ** len(pder0) > limits.candidates:
                 batch = _scan_direct(struct, d, True, limits)

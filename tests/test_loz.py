@@ -155,14 +155,23 @@ class TestEigenspaceStacks:
             assert (keys(_scan_eigenspaces(s, d, pder0, Limits()))
                     == keys(per_row_value_scan(s, d, pder0))), d
 
-    @pytest.mark.parametrize("stack", [1, 2])
-    def test_chunk_size_leaves_the_answer(self, monkeypatch, stack):
+    # a budget of 1 entry makes chunks of one matrix; 900 makes chunks of
+    # two 45 x 10 survivor systems at degree 3
+    @pytest.mark.parametrize("budget", [1, 900])
+    def test_chunk_size_leaves_the_answer(self, monkeypatch, budget):
         structures = [cube(5), from_potential(parse_poly("2*x1*x2*x3", 5, 3)),
                       skew3(5, (2, 2, 0))]
         expected = [keys(enumerate_normal(s, 3)) for s in structures]
         assert len(pder0_matrix_space(structures[2])) == 5
-        monkeypatch.setattr("poismodp.loz._STACK", stack)
+        shapes = []
+        rref_stack = linalg.rref_stack
+        monkeypatch.setattr(
+            linalg, "rref_stack", lambda a, p: shapes.append(a.shape) or rref_stack(a, p)
+        )
+        monkeypatch.setattr("poismodp.loz._STACK_ENTRIES", budget)
         assert [keys(enumerate_normal(s, 3)) for s in structures] == expected
+        assert all(b == 1 or b * r * c <= budget for b, r, c in shapes)
+        assert max(b for b, r, c in shapes if (r, c) == (45, 10)) == max(1, budget // 450)
 
 
 class TestNormality:
@@ -316,15 +325,21 @@ class TestEnumerate:
 
     def test_cube_row_filter_work(self, monkeypatch):
         # the scan eliminates its row values and survivors as stacks, so
-        # the only kernel is pder0_matrix_space's; an unpruned scan would
-        # take one per candidate (15 626 nullspaces in all)
-        calls = []
-        nullspace = linalg.nullspace
+        # the only kernel is pder0_matrix_space's; the row filter leaves
+        # 512 matrices to eliminate, where an unpruned scan would send
+        # every one of the 5^6 candidates through the survivor stack
+        calls, matrices = [], []
+        nullspace, rref_stack = linalg.nullspace, linalg.rref_stack
         monkeypatch.setattr(
             linalg, "nullspace", lambda a, p: calls.append(1) or nullspace(a, p)
         )
+        monkeypatch.setattr(
+            linalg, "rref_stack",
+            lambda a, p: matrices.append(len(a)) or rref_stack(a, p),
+        )
         assert len(enumerate_normal(cube(5), 3)) == 3
         assert len(calls) == 1
+        assert sum(matrices) <= 600
 
     def test_paths_agree(self):
         # degree 3 at p=5 means 2.4M direct candidates; cross-validate the
