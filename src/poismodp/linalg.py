@@ -5,17 +5,23 @@ pivots are chosen first-nonzero top-down, nullspace vectors follow the
 free columns in ascending order.
 
 `nullspace` and `rank` eliminate a matrix as its nonzero `Entries`, into
-which `_entries` turns a dense one.  They split it into the connected
-blocks of its row/column incidence graph: a column alone in its block is
-decided by whether it is zero, and each larger block gets one dense
-`rref`.  The center's operators are very sparse and fall apart into
-thousands of such blocks, so their dense stack is never built.
+which `_entries` turns a dense one.  First `_peel` takes off row
+singletons: a row with one nonzero entry forces its column to 0 in every
+kernel vector, so that column is a pivot, and dropping it may leave
+other rows with one entry.  What is left, the core, has no row with
+one entry, so the connected blocks of its row/column incidence graph
+each have several columns or none of its entries; each of the former
+gets one dense `rref`, and a column left with no entry is free unless
+it was forced.  The center's operators are very sparse: in one pass
+of the benchmark's center_oracle jobs the peel forces 40 631 of 43 688
+columns, and the core falls apart into 274 blocks of 2380 columns in
+all, so no dense stack is ever built.
 
 Many small matrices of one shape are eliminated the other way, as one
 (B, R, C) stack in `rref_stack`, vectorised over B; `rref_kernel` reads
 each member's kernel with `nullspace`'s own step.  `rref` itself stays a
-loop over one matrix: routed through `rref_stack`, the center oracle's
-thousands of block eliminations took more than twice as long.
+loop over one matrix: routed through `rref_stack`, the 460 `rref` calls
+of that center_oracle pass took about five times as long.
 
 Polynomials and matrices on a monomial basis meet only here, and only
 here is a basis held as an int64 exponent array: `coeff_matrix` fills a
@@ -317,14 +323,39 @@ def _block_matrices(a: Entries, blocks):
         yield sub
 
 
+def _peel(a: Entries) -> tuple[np.ndarray, Entries]:
+    """Row singletons: a row whose only nonzero entry is in column c
+    forces x_c = 0 in every kernel vector, so c is a pivot.  Its entries
+    are dropped, which may leave further rows with one entry; repeated
+    until none has.  Returns the mask of the forced columns and the
+    remaining entries (the core)."""
+    forced = np.zeros(a.shape[1], dtype=bool)
+    rows, cols, vals = a.rows, a.cols, a.vals
+    while True:
+        single = np.bincount(rows, minlength=a.shape[0])[rows] == 1
+        if not single.any():
+            return forced, Entries(a.shape, rows, cols, vals)
+        forced[cols[single]] = True
+        keep = ~forced[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+
+
 def _eliminate(a, p: int):
-    """One rref per block of several columns of a, a dense matrix or its
-    nonzero `Entries`.  Returns the mask of the free columns, and for
-    each such block its free columns, its pivot columns and the rows of
-    its rref that express the free columns in the pivot columns."""
+    """One rref per block of several columns of the core of a (a dense
+    matrix or its nonzero `Entries`) that `_peel` leaves.  Returns the
+    mask of the free columns, and for each such block its free columns,
+    its pivot columns and the rows of its rref that express the free
+    columns in the pivot columns.
+
+    The kernel of a is that of the core with the forced coordinates 0,
+    so a forced column is a pivot of a's own rref too (a free column has
+    a kernel vector that is 1 there), and the free columns and their
+    vectors are a's own."""
     if not isinstance(a, Entries):
         a = _entries(a, p)
-    free, blocks = _blocks(a)
+    forced, a = _peel(a)
+    zero, blocks = _blocks(a)
+    free = zero & ~forced
     solved = []
     for (rs, cs), sub in zip(blocks, _block_matrices(a, blocks)):
         m, pivots = rref(sub, p)
@@ -344,10 +375,12 @@ def nullspace(a, p: int) -> list[np.ndarray]:
     """Basis of the right nullspace of a, a dense matrix or its nonzero
     `Entries`, one vector per free column.
 
-    Up to a permutation a is block diagonal, so its pivot columns are
-    those of its blocks, and the vector of a free column, its unique
-    expression in the pivot columns, lies in that column's block: the
-    basis is the one a single rref of a would give, vector for vector.
+    Every kernel vector is 0 on the columns `_peel` forces, and up to a
+    permutation the core is block diagonal, so the pivot columns are the
+    forced ones and those of its blocks, and the vector of a free column,
+    its unique expression in the pivot columns, lies in that column's
+    block: the basis is the one a single rref of a would give, vector for
+    vector.
     """
     return _kernel_basis(*_eliminate(a, p), p)
 

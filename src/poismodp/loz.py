@@ -147,6 +147,11 @@ def _scan_direct(struct, d, homogeneous, limits):
 _STACK_ENTRIES = 2**19
 
 
+# candidates per pass of the eigenspace scan's row filter, so that their
+# table of digits (2^12 x k int64) stays small whatever p^k is
+_FILTER_CANDIDATES = 2**12
+
+
 def _chunks(count, shape):
     """Slices of a stack of `count` matrices of `shape`, each of at most
     `_STACK_ENTRIES` entries or of one matrix."""
@@ -186,19 +191,23 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     mults = linalg.multiplication_matrices(n, d)
     # candidate g is the coefficient vector _digits(g) of itertools.product
     # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
-    # row codes (< p^k) are far below 2^63
+    # row codes (< p^rank <= p^k) are far below 2^63
     alive = np.ones(p**k, dtype=bool)
     for i in range(n):
         rows = pder0[:, i, :]  # row i of every basis derivation
-        cols = linalg.rref(rows, p)[1]  # a row value is fixed by these entries
-        codes = linalg.span(rows[:, cols], p) @ p ** np.arange(len(cols))
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        values = _digits(first, p, k) @ rows % p
+        reduced, cols = linalg.rref(rows, p)
+        # a row value v is v[cols] @ reduced, so v[cols] read in base p is
+        # its index in the span below; each alive candidate's code is read
+        # off its digits, a chunk at a time
+        values = linalg.span(reduced[: len(cols)], p)
         dead = np.zeros(len(values), dtype=bool)
         for part in _chunks(len(values), brackets[i].shape):
             blocks = brackets[i] - np.tensordot(values[part], mults, 1)
             dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
-        alive &= ~dead[inverse]
+        weights = p ** np.arange(len(cols) - 1, -1, -1)
+        for start in range(0, p**k, _FILTER_CANDIDATES):
+            g = start + np.flatnonzero(alive[start : start + _FILTER_CANDIDATES])
+            alive[g] = ~dead[_digits(g, p, k) @ rows[:, cols] % p @ weights]
     found = []
     elements = 0
     survivors = np.flatnonzero(alive)

@@ -248,6 +248,103 @@ class TestBlockSplit:
             [0, 0, 1, 0, 0, 0], [3, 0, 0, 1, 0, 0], [0, 3, 0, 0, 1, 0]]
 
 
+@st.composite
+def singleton_chains(draw):
+    """A matrix that `_peel` takes apart over several rounds, and its
+    prime: permuted pieces that are upper bidiagonal (the last row is a
+    singleton, and each forced column leaves the row above with one
+    entry) or upper triangular with a nonzero diagonal, mixed with random
+    blocks, zero columns and a few stray entries that may join pieces.
+    Entries are sometimes left unreduced."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    kinds = draw(st.lists(st.sampled_from(["bidiagonal", "triangular", "random", "zero"]),
+                          min_size=1, max_size=5))
+    nonzero = st.integers(1, p - 1)
+    pieces = []
+    for kind in kinds:
+        size = draw(st.integers(1, 6))
+        if kind == "zero":
+            pieces.append(np.zeros((draw(st.integers(0, 2)), size), dtype=np.int64))
+            continue
+        a = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size * size,
+                                   max_size=size * size)), dtype=np.int64).reshape(size, size)
+        if kind == "bidiagonal":
+            a = np.triu(np.tril(a, 1), 1)
+        elif kind == "triangular":
+            a = np.triu(a, 1)
+        if kind != "random":
+            a[np.arange(size), np.arange(size)] = draw(st.lists(nonzero, min_size=size,
+                                                                max_size=size))
+        pieces.append(a)
+    rows, cols = sum(a.shape[0] for a in pieces), sum(a.shape[1] for a in pieces)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for piece in pieces:
+        a[r0:r0 + piece.shape[0], c0:c0 + piece.shape[1]] = piece
+        r0, c0 = r0 + piece.shape[0], c0 + piece.shape[1]
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            a[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(nonzero)
+    if draw(st.booleans()):
+        a = a + p * draw(st.sampled_from([-1, 1, 2]))
+    rperm = draw(st.permutations(range(rows)))
+    cperm = draw(st.permutations(range(cols)))
+    return a[np.ix_(rperm, cperm)], p
+
+
+def permuted_bidiagonal(size, p, seed):
+    """The nonzero entries of a size x size upper bidiagonal matrix with
+    nonzero entries, rows and columns shuffled: the peel forces one
+    column per round."""
+    rng = np.random.default_rng(seed)
+    diagonal, above = np.arange(size), np.arange(size - 1)
+    rows = np.concatenate([diagonal, above])
+    cols = np.concatenate([diagonal, above + 1])
+    rperm, cperm = rng.permutation(size), rng.permutation(size)
+    vals = rng.integers(1, p, len(rows))
+    return linalg.Entries((size, size), rperm[rows], cperm[cols], vals)
+
+
+class TestPeel:
+    """Row singletons are peeled before the block split; the kernel is
+    still the one of a single dense elimination, vector for vector."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(singleton_chains())
+    def test_chains_against_dense(self, case):
+        assert_split_equals_dense(*case)
+
+    def test_forced_columns_and_core(self):
+        # row 1 forces column 1, which leaves row 0 with column 0 alone;
+        # rows 2 and 3 stay, and column 5 is zero, not forced
+        a = np.array([[2, 1, 0, 0, 0, 0],
+                      [0, 3, 0, 0, 0, 0],
+                      [0, 0, 1, 4, 1, 0],
+                      [0, 0, 2, 1, 3, 0]], dtype=np.int64)
+        forced, core = linalg._peel(linalg._entries(a, 5))
+        assert forced.tolist() == [True, True, False, False, False, False]
+        assert core.shape == (4, 6)
+        assert core.rows.tolist() == [2, 2, 2, 3, 3, 3]
+        assert core.cols.tolist() == [2, 3, 4, 2, 3, 4]
+        assert core.vals.tolist() == [1, 4, 1, 2, 1, 3]
+        kernel = linalg.nullspace(a, 5)
+        assert [v.tolist() for v in kernel] == [[0, 0, 2, 3, 1, 0], [0, 0, 0, 0, 0, 1]]
+        assert not any(v[forced].any() for v in kernel)
+        assert linalg.rank(a, 5) == 4
+
+    def test_chain_needs_no_dense_block(self, monkeypatch):
+        # one column per round: at 3000 columns a single dense block
+        # would be a 3000 x 3000 elimination
+        a = permuted_bidiagonal(3000, 5, SEED)
+
+        def refuse(*args):
+            raise AssertionError("dense elimination")
+
+        monkeypatch.setattr(linalg, "rref", refuse)
+        assert linalg.nullspace(a, 5) == []
+        assert linalg.rank(a, 5) == 3000
+
+
 # ---------------------------------------------------------------------
 # Stacked eliminations against one rref per matrix
 # ---------------------------------------------------------------------

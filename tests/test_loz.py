@@ -376,8 +376,8 @@ class TestEnumerate:
 
     def test_eigenspace_scan_memory(self):
         # the zero bracket on 3 variables at p=3 has k = 9 degree-0
-        # derivations: the scan's row codes take p^k x rank entries, less
-        # than the p^k x k table of candidate coefficients alone
+        # derivations: the scan's row filter reads the candidates' digits
+        # a chunk at a time, never the whole p^k x k table of them
         s = trivial_structure(3, 3)
         pder0 = pder0_matrix_space(s)
         k = len(pder0)
@@ -390,6 +390,24 @@ class TestEnumerate:
             tracemalloc.stop()
         assert len(found) == 13  # every monic linear form, with delta = 0
         assert peak < 3**k * k * 8
+
+    def test_row_filter_memory_at_p5(self):
+        # 5^9 = 1 953 125 candidates: the filter holds one mask of them,
+        # its codes are chunked and `dead` has p^rank entries; holding
+        # p^k-long codes and np.unique's inverse, it peaked at 108 MiB
+        s = trivial_structure(5, 3)
+        pder0 = pder0_matrix_space(s)
+        tracemalloc.start()
+        try:
+            found = _scan_eigenspaces(s, 1, pder0, Limits())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 31  # every monic linear form, with delta = 0
+        direct = _scan_direct(s, 1, True, Limits())
+        assert {(f.key(), d.key()) for f, d in found} == {
+            (f.key(), d.key()) for f, d in direct}
+        assert peak < 32 * 2**20
 
     def test_search_cap(self):
         s = two_lines(5)
