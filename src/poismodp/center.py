@@ -380,62 +380,61 @@ def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
 # ---------------------------------------------------------------------
 
 
+def graded_products(
+    n: int, factors: list[MultiPoly], family: dict[int, list[MultiPoly]], d: int
+) -> tuple[list[tuple[int, MultiPoly]], np.ndarray]:
+    """The pairs (k, h) with h in family[d - deg g_k], factor by factor,
+    for nonzero homogeneous factors g_k and a family {degree: elements},
+    and the coefficient matrix of the products g_k h on the monomials of
+    degree d, one column per pair."""
+    pairs = [(k, h) for k, g in enumerate(factors)
+             for h in family.get(d - g.degree(), [])]
+    products = [factors[k] * h for k, h in pairs]
+    return pairs, coeff_matrix(products, monomials_of_degree(n, d))
+
+
+def _check_generators(gens: list[MultiPoly]) -> None:
+    if any(g.is_constant() or not g.is_homogeneous() for g in gens):
+        raise PoisError("subalgebra generators must be homogeneous of degree >= 1")
+
+
 def graded_span_dims(
     p: int, n: int, gens: list[MultiPoly], max_degree: int
 ) -> tuple[list[int], dict[int, list[MultiPoly]]]:
     """Degreewise dimensions and bases of the subalgebra generated by
-    homogeneous elements of positive degree."""
-    for g in gens:
-        if g.is_zero or not g.is_homogeneous() or g.degree() == 0:
-            raise PoisError("subalgebra generators must be homogeneous of degree >= 1")
+    homogeneous elements of positive degree: in degree d, the rref of
+    their `graded_products` with the bases below."""
+    _check_generators(gens)
     bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
-    dims = [1]
     for d in range(1, max_degree + 1):
-        candidates = []
-        for g in gens:
-            dg = g.degree()
-            if dg > d:
-                continue
-            for h in bases.get(d - dg, []):
-                candidates.append(g * h)
-        basis = _reduce_to_basis(candidates, p, n, d)
-        bases[d] = basis
-        dims.append(len(basis))
-    return dims, bases
+        red, pivots = linalg.rref(graded_products(n, gens, bases, d)[1].T, p)
+        src = monomials_of_degree(n, d)
+        bases[d] = [vec_to_poly(v, p, n, src) for v in red[: len(pivots)]]
+    return [len(bases[d]) for d in range(max_degree + 1)], bases
 
 
-def _reduce_to_basis(polys: list[MultiPoly], p: int, n: int, d: int) -> list[MultiPoly]:
-    polys = [f for f in polys if not f.is_zero]
-    if not polys:
-        return []
-    src = monomials_of_degree(n, d)
-    red, pivots = linalg.rref(coeff_matrix(polys, src).T, p)
-    return [vec_to_poly(red[r], p, n, src) for r in range(len(pivots))]
-
-
-def reduce_generators(
-    p: int, n: int, gens: list[MultiPoly], max_degree: Optional[int] = None
-) -> list[MultiPoly]:
-    """Drop generators expressible in lower-sorted ones (degreewise
-    linear algebra against products); optional post-pass, not minimality
-    in any stronger sense."""
-    ordered = sorted(gens, key=lambda f: f.sort_key())
+def reduce_generators(p: int, n: int, gens: list[MultiPoly]) -> list[MultiPoly]:
+    """Drop constants and generators expressible in lower-sorted ones;
+    the others must be homogeneous.  Optional post-pass, not minimality
+    in any stronger sense.  A generator is dropped when it lies in the
+    span of the `graded_products` of the ones kept with their
+    subalgebra, built alongside in ascending degree as in
+    `graded_span_dims`."""
+    ordered = sorted((g for g in gens if not g.is_constant()), key=lambda f: f.sort_key())
+    _check_generators(ordered)
     kept: list[MultiPoly] = []
+    bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
     for g in ordered:
         d = g.degree()
-        if d is None or d == 0:
-            continue
-        if not kept:
+        # the kept generators of degree below d are final, and so are
+        # the subalgebra's degrees below d
+        for e in range(len(bases), d):
+            red, pivots = linalg.rref(graded_products(n, kept, bases, e)[1].T, p)
+            src = monomials_of_degree(n, e)
+            bases[e] = [vec_to_poly(v, p, n, src) for v in red[: len(pivots)]]
+        vec = coeff_matrix([g], monomials_of_degree(n, d))[:, 0]
+        if not linalg.in_row_space(graded_products(n, kept, bases, d)[1].T, vec, p):
             kept.append(g)
-            continue
-        _, bases = graded_span_dims(p, n, kept, d)
-        span = bases.get(d, [])
-        if span:
-            src = monomials_of_degree(n, d)
-            mat = coeff_matrix(span, src).T
-            if linalg.in_row_space(mat, coeff_matrix([g], src)[:, 0], p):
-                continue
-        kept.append(g)
     return kept
 
 
@@ -451,7 +450,8 @@ def rank_over_subring(
     max_degree: int,
 ) -> tuple[Fraction, tuple[str, ...]]:
     """Estimate rk_Z(A) as p^n over the number of module generators of Z
-    over k[x_1^p, ..., x_n^p], counted degreewise up to max_degree.
+    over k[x_1^p, ..., x_n^p], counted degreewise up to max_degree: dim
+    Z_d less the rank of the `graded_products` of the x_i^p with Z.
 
     `sub_bases` must be closed under multiplication by the x_i^p, as the
     center's are: then the x_i^p Z_{d-p} span every x^(pv) Z_{d-p|v|}.
@@ -466,11 +466,8 @@ def rank_over_subring(
         basis = sub_bases.get(d, [])
         if not basis:
             continue
-        src = monomials_of_degree(n, d)
-        products = [x * h for x in powers for h in sub_bases.get(d - p, [])]
-        quotient = linalg.rank(coeff_matrix(basis, src), p)
-        if products:
-            quotient -= linalg.rank(coeff_matrix(products, src), p)
+        quotient = linalg.rank(coeff_matrix(basis, monomials_of_degree(n, d)), p)
+        quotient -= linalg.rank(graded_products(n, powers, sub_bases, d)[1], p)
         if quotient:
             last_nonzero = d
         count += quotient

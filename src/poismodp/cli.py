@@ -9,6 +9,7 @@ status is 0 on success, 1 on a mathematical verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -69,7 +70,9 @@ def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
         parser.add_argument(name, **_OPTIONS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="poismodp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -496,8 +499,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     caps = {f.name for f in fields(Limits)}
     args.limits = Limits(**{k: v for k, v in vars(args).items() if k in caps})
     try:

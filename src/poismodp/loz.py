@@ -24,6 +24,7 @@ from .center import (
     bracket_matrices,
     center_oracle,
     graded_kernel,
+    graded_products,
     rank_over_subring,
     skew_monoid,
 )
@@ -45,7 +46,7 @@ from .fieldpoly import (
     monomials_upto_degree,
     squarefree,
 )
-from .linalg import coeff_matrix, derivation_matrix, vec_to_poly
+from .linalg import derivation_matrix, vec_to_poly
 from .structure import PoissonStructure
 
 
@@ -257,10 +258,12 @@ def enumerate_normal(
                 batch = _scan_direct(struct, d, True, limits)
             else:
                 batch = _scan_eigenspaces(struct, d, pder0, limits)
+                # checked in MultiPoly, not linalg, and against delta itself
                 for f, delta in batch:
-                    if not is_poisson_normal(struct, f):
+                    if any(struct.bracket_with_gen(i, f) != delta.images[i] * f
+                           for i in range(struct.n)):
                         raise InternalCheckFailed(
-                            f"eigenspace scan produced a non-normal element {f}"
+                            f"eigenspace scan paired {f} with a derivation not its own"
                         )
             found.extend(batch)
     else:
@@ -463,33 +466,27 @@ def decomposable_witness(
 ) -> Optional[DecompositionRelation]:
     """Bounded search for a witness against loz-decomposability.
 
-    Returns the first relation found, or None.  None is NOT a proof of
-    decomposability: the search only sees central multipliers and
-    representatives up to max_degree.
+    A relation of degree m is a kernel vector of the `graded_products`
+    of the representatives with the center's graded basis, read back
+    through their pairs.  Returns the first relation found, or None.
+    None is NOT a proof of decomposability: the search only sees central
+    multipliers and representatives up to max_degree.
     """
     p, n = struct.p, struct.n
     center = center_oracle(struct, max_degree, limits)
     blocks = _representatives(group, max_degree)
     for m in range(1, max_degree + 1):
-        col_info = [(bi, z) for bi, (_, f) in enumerate(blocks)
-                    for z in center.graded_basis.get(m - f.degree(), [])]
-        cols = [z * blocks[bi][1] for bi, z in col_info]
-        if len(cols) < 2:
+        pairs, cols = graded_products(n, [f for _, f in blocks], center.graded_basis, m)
+        if len(pairs) < 2:
             continue
-        kernel = linalg.nullspace(coeff_matrix(cols, monomials_of_degree(n, m)), p)
+        kernel = linalg.nullspace(cols, p)
         if not kernel:
             continue
-        vec = kernel[0]
+        # the pairs come block by block, so per_block is in block order
         per_block: dict[int, MultiPoly] = {}
-        for c, (bi, z) in zip(vec, col_info):
-            c = int(c) % p
-            if c:
-                per_block[bi] = per_block.get(bi, MultiPoly.zero(p, n)) + z * c
-        terms = [
-            (zsum, blocks[bi][0], blocks[bi][1])
-            for bi, zsum in sorted(per_block.items())
-            if not zsum.is_zero
-        ]
+        for c, (bi, z) in zip(kernel[0], pairs):
+            per_block[bi] = per_block.get(bi, MultiPoly.zero(p, n)) + z * int(c)
+        terms = [(zsum, *blocks[bi]) for bi, zsum in per_block.items() if not zsum.is_zero]
         if len(terms) < 2:
             continue
         rel = DecompositionRelation(degree=m, terms=terms)

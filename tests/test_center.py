@@ -15,6 +15,7 @@ from poismodp.center import (
     find_beta,
     gorenstein_skew,
     gorenstein_via_theorem38,
+    graded_products,
     graded_span_dims,
     hilbert_skew,
     is_central,
@@ -24,14 +25,17 @@ from poismodp.center import (
     reduce_generators,
     skew_monoid,
 )
+from poismodp.catalog import potential_catalog
 from poismodp.errors import (
     CapExceeded,
     DegreeBoundTooLarge,
     Limits,
+    PoisError,
     SmallCharacteristic,
     WrongArity,
 )
-from poismodp.fieldpoly import MultiPoly, format_poly, parse_poly
+from poismodp.fieldpoly import MultiPoly, format_poly, monomials_of_degree, parse_poly
+from poismodp.linalg import coeff_matrix
 from poismodp.structure import (
     SkewMatrix,
     explicit_structure,
@@ -153,6 +157,72 @@ class TestCenterGenerators:
         report = center_generators_skew(m)
         s = from_skew_matrix(m.c)
         assert all(is_central(s, g) for g in report.generators)
+
+
+def reduce_generators_per_generator(p, n, gens):
+    """Reference for `reduce_generators`: the same choice, with the
+    subalgebra of the kept generators rebuilt from scratch by
+    `graded_span_dims` for every generator."""
+    kept = []
+    for g in sorted(gens, key=lambda f: f.sort_key()):
+        d = g.degree()
+        if d is None or d == 0:
+            continue
+        if not kept:
+            kept.append(g)
+            continue
+        span = graded_span_dims(p, n, kept, d)[1].get(d, [])
+        if span:
+            src = monomials_of_degree(n, d)
+            if linalg.in_row_space(coeff_matrix(span, src).T, coeff_matrix([g], src)[:, 0], p):
+                continue
+        kept.append(g)
+    return kept
+
+
+class TestReduceGenerators:
+    def test_graded_products(self):
+        p, n = 5, 3
+        x1, x2, x3 = MultiPoly.gens(p, n)
+        factors = [x1**2, x2 + 2 * x3, x3**4]
+        family = {0: [MultiPoly.const(p, n, 1)], 1: [x1, x2], 2: [x1 * x3]}
+        pairs, mat = graded_products(n, factors, family, 3)
+        # factor by factor, each in family order; x3^4 is above degree 3
+        assert pairs == [(0, x1), (0, x2), (1, x1 * x3)]
+        products = [x1**3, x1**2 * x2, (x2 + 2 * x3) * x1 * x3]
+        assert (mat == coeff_matrix(products, monomials_of_degree(n, 3))).all()
+        pairs, mat = graded_products(n, factors, family, 0)
+        assert pairs == [] and mat.shape == (1, 0)
+
+    def test_same_as_per_generator(self, rng):
+        # the monoid engine's generators of random skew matrices
+        inputs = []
+        for p, n in ((3, 3), (5, 3), (3, 4), (5, 4)):
+            for _ in range(4):
+                upper = {(i, j): rng.randrange(p) for i in range(n) for j in range(i + 1, n)}
+                report = center_generators_skew(skew_monoid(SkewMatrix.from_upper(p, n, upper)))
+                inputs.append((p, n, report.generators))
+        # the p=5 catalog's expected center generators and the oracle's
+        for form in potential_catalog(5):
+            oracle = center_oracle(form.structure(), 2 * form.p)
+            inputs.append((5, 3, list(form.expected_center_gens) + oracle.generators))
+        for p, n, gens in inputs:
+            gens = rng.sample(gens, len(gens))
+            assert reduce_generators(p, n, gens) == reduce_generators_per_generator(p, n, gens)
+
+    def test_every_nonhomogeneous_generator_rejected(self):
+        # the per-generator version raised only once a second generator
+        # was kept: alone, x1 + x2^2 was returned, and after x3 its
+        # degree-1 term was not in the degree-2 basis (KeyError)
+        p, n = 5, 3
+        x1, x2, x3 = MultiPoly.gens(p, n)
+        g = x1 + x2**2
+        with pytest.raises(PoisError) as expected:
+            graded_span_dims(p, n, [g], 2)
+        for gens in ([g], [x3, g], [g, x1**5, x2**5]):
+            with pytest.raises(PoisError) as raised:
+                reduce_generators(p, n, gens)
+            assert str(raised.value) == str(expected.value)
 
 
 class TestHilbert:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from poismodp import cli
+from poismodp import cli, loz
 from poismodp.cli import (
     _matrix_from_upper,
     _orbit_codes,
@@ -202,18 +202,23 @@ class TestLoz:
     def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
         # at degree 2 the search takes the eigenspace scan (pruned bound
         # 3*5^3 = 375 against 3906 projective quadrics), whose answers are
-        # re-verified with is_poisson_normal
+        # re-verified against their derivations; no quadric is central
+        # here, so none has the zero derivation
         path = tmp_path / "skew3_p5.json"
         path.write_text(json.dumps({
             "schema": 1, "p": 5,
             "bracket": {"kind": "skew",
                         "matrix": [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]},
         }))
-        monkeypatch.setattr("poismodp.loz.is_poisson_normal", lambda s, f: False)
+        scan = loz._scan_eigenspaces
+        monkeypatch.setattr(
+            "poismodp.loz._scan_eigenspaces",
+            lambda s, *args: [(f, Derivation.zero(s.p, s.n)) for f, _ in scan(s, *args)],
+        )
         code = main(["loz", "--algebra", str(path), "--normal-degree", "2"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: eigenspace scan produced a non-normal element")
+        assert err.startswith("error: eigenspace scan paired")
         assert "Traceback" not in err
 
 
@@ -523,6 +528,19 @@ class TestSurvey:
 
 
 class TestFlags:
+    def test_parser_built_once(self, capsys, circulant_p3):
+        # every main call parses with one parser; a capped job that exits
+        # 2 leaves nothing in it that changes the next job's answer
+        assert build_parser() is build_parser()
+        job = ["loz", "--algebra", circulant_p3, "--normal-degree", "2", "--format", "json"]
+        assert main(job) == 0
+        answer = capsys.readouterr().out
+        assert main(job + ["--cap-candidates", "1"]) == 2
+        assert "cap is 1" in capsys.readouterr().err
+        assert main(job) == 0
+        assert capsys.readouterr().out == answer
+        assert json.loads(answer)["order"] == 9
+
     def test_option_table(self):
         # every command's options and their defaults; a new knob has to
         # be added here

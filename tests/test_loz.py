@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismodp import linalg
-from poismodp.catalog import potential_catalog
+from poismodp.catalog import catalog_form, potential_catalog
 from poismodp.center import UNSTABLE_RANK_NOTE, bracket_matrices, center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
 from poismodp.errors import (
@@ -373,6 +373,26 @@ class TestEnumerate:
         for p in (5, 7):
             pairs = enumerate_normal(trivial_structure(p, 3), 2)
             assert len(pairs) == (p**3 - 1) // (p - 1) + (p**6 - 1) // (p - 1)
+
+    def test_scan_checks_each_derivation(self, monkeypatch):
+        # ThreeLines at p=5 takes the eigenspace scan at degrees 2 and 3.
+        # Its elements stay normal when two pairs swap derivations, so
+        # only a check against the derivation itself sees the swap.
+        scan, swapped = _scan_eigenspaces, []
+
+        def swap(struct, d, pder0, limits):
+            batch = scan(struct, d, pder0, limits)
+            first = batch[0][1].key()
+            j = next(j for j, (_, delta) in enumerate(batch) if delta.key() != first)
+            (f0, d0), (fj, dj) = batch[0], batch[j]
+            batch[0], batch[j] = (f0, dj), (fj, d0)
+            swapped.append(d)
+            return batch
+
+        monkeypatch.setattr("poismodp.loz._scan_eigenspaces", swap)
+        with pytest.raises(InternalCheckFailed, match="not its own"):
+            enumerate_normal(catalog_form(5, "ThreeLines").structure(), 3)
+        assert swapped == [2]
 
     def test_eigenspace_scan_memory(self):
         # the zero bracket on 3 variables at p=3 has k = 9 degree-0
