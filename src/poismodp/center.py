@@ -303,23 +303,45 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
     return all(struct.bracket_with_gen(i, f).is_zero for i in range(struct.n))
 
 
+# the source columns of one elimination in `graded_kernel`: a whole
+# degree's entries and its dense kernel are at most a few MiB
+_GROUP_COLUMNS = 1024
+
+
 def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
     """Hilbert function and graded basis of the joint kernel of the
     derivations x_j |-> images[j], one per image list in `derivations`,
     degree by degree up to max_degree.  Their images are homogeneous of
     one degree h, so each maps A_d into A_{d+h-1}; with no nonzero image,
-    the kernel is all of A_d."""
+    the kernel is all of A_d.  Every degree's width is checked against
+    `Limits.columns` before any monomial is listed.
+
+    Consecutive degrees of at most `_GROUP_COLUMNS` columns in all (or a
+    single degree) are eliminated as one matrix, from their sum into that
+    of their targets.  No row meets two degrees, so `linalg.nullspaces`
+    gives each degree the basis of its own elimination."""
     h = max((g.degree() for images in derivations for g in images if not g.is_zero),
             default=1)
+    widths = []  # C(d + n - 1, n - 1) monomials of degree d
+    for d in range(max_degree + 1):
+        widths.append(comb(d + n - 1, n - 1))
+        limits.check("columns", widths[-1], f"columns at degree {d}")
+    sources = [monomials_of_degree(n, d) for d in range(max_degree + 1)]
     hilbert = []
     graded_basis: dict[int, list[MultiPoly]] = {}
-    for d in range(max_degree + 1):
-        src = monomials_of_degree(n, d)
-        limits.check("columns", len(src), f"columns at degree {d}")
-        tgt = monomials_of_degree(n, d + h - 1)
-        kernel = linalg.nullspace(derivation_entries(derivations, src, tgt), p)
-        graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
-        hilbert.append(len(kernel))
+    columns = np.cumsum([0] + widths)  # the columns before each degree
+    lo = 0
+    while lo <= max_degree:
+        # degrees lo..hi-1: at most _GROUP_COLUMNS columns, or one degree
+        hi = max(lo + 1, int(columns.searchsorted(columns[lo] + _GROUP_COLUMNS, "right")) - 1)
+        src = tuple(itertools.chain.from_iterable(sources[lo:hi]))
+        tgt = tuple(itertools.chain.from_iterable(
+            monomials_of_degree(n, d + h - 1) for d in range(lo, hi)))
+        kernels = linalg.nullspaces(derivation_entries(derivations, src, tgt), p, widths[lo:hi])
+        for d, kernel in zip(range(lo, hi), kernels):
+            graded_basis[d] = [vec_to_poly(v, p, n, sources[d]) for v in kernel]
+            hilbert.append(len(kernel))
+        lo = hi
     return hilbert, graded_basis
 
 

@@ -40,7 +40,7 @@ def monomials_of_degree(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),) if d == 0 else ()
     if n == 1:
-        return ((d,),)
+        return ((d,),) if d >= 0 else ()
     out = []
     for e1 in range(d, -1, -1):
         for rest in monomials_of_degree(n - 1, d - e1):

@@ -12,15 +12,18 @@ other rows with one entry.  What is left, the core, has no row with
 one entry, so the connected blocks of its row/column incidence graph
 each have several columns or none of its entries; each of the former
 gets one dense `rref`, and a column left with no entry is free unless
-it was forced.  The center's operators are very sparse: in one pass
-of the benchmark's center_oracle jobs the peel forces 40 631 of 43 688
-columns, and the core falls apart into 274 blocks of 2380 columns in
-all, so no dense stack is ever built.
+it was forced.  A matrix whose rows each meet one piece of its columns
+is solved in one elimination, and `nullspaces` reads each piece's
+kernel from it; the center's graded kernels take several degrees at a
+time this way.  Their operators are very sparse: in one pass of the
+benchmark's center_oracle jobs the 66 eliminations peel 40 631 of
+43 688 columns, and the cores fall apart into 274 blocks of 2380
+columns in all, so no dense stack is ever built.
 
 Many small matrices of one shape are eliminated the other way, as one
 (B, R, C) stack in `rref_stack`, vectorised over B; `rref_kernel` reads
 each member's kernel with `nullspace`'s own step.  `rref` itself stays a
-loop over one matrix: routed through `rref_stack`, the 460 `rref` calls
+loop over one matrix: routed through `rref_stack`, the 526 `rref` calls
 of that center_oracle pass took about five times as long.
 
 Polynomials and matrices on a monomial basis meet only here, and only
@@ -28,12 +31,16 @@ here is a basis held as an int64 exponent array: `coeff_matrix` fills a
 whole array from polynomial terms, `derivation_entries` lists the
 nonzero entries of the operators of derivations and `derivation_matrix`
 writes them into a dense array, `multiplication_matrices` fills arrays
-from exponents alone, and `vec_to_poly` reads a vector back.
+from exponents alone, and `vec_to_poly` reads a vector back.  The
+operators take bases made of whole degree pieces, each in
+`monomials_of_degree` order, and `_row_index` finds a monomial in one
+by arithmetic on its exponents.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -84,11 +91,12 @@ def derivation_entries(derivations, src, tgt=None) -> Entries:
     p = derivations[0][0].p
     ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
     shifts[np.arange(len(js)), js] -= 1
-    exps = _exponent_table(tuple(src), shifts.shape[1])[0]
+    exps = _exponents(src, shifts.shape[1])
     powers = exps[:, js] % p  # e_j of every source, one column per term
     s, t = powers.nonzero()
     if tgt is None:
-        tgt, rows = np.unique(_row_keys(exps[s] + shifts[t]), return_inverse=True)
+        tgt, rows = np.unique(exps[s] + shifts[t], axis=0, return_inverse=True)
+        rows = rows.reshape(-1)
     else:
         rows = _row_index(tgt, exps[s] + shifts[t])
     flat = (ks[t] * len(tgt) + rows) * len(src) + s
@@ -125,7 +133,7 @@ def multiplication_matrices(n: int, d: int) -> np.ndarray:
     from A_d to A_{d+1}: one row lookup of the shifted sources per j.
     Cached, so read-only: every caller gets the same array."""
     src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
-    exps = _exponent_table(src, n)[0]
+    exps = _exponents(src, n)
     m = np.full((n, len(tgt), len(src)), 0, dtype=np.int64)
     for j, shift in enumerate(np.eye(n, dtype=np.int64)):
         m[j, _row_index(tgt, exps + shift), np.arange(len(src))] = 1
@@ -133,37 +141,82 @@ def multiplication_matrices(n: int, d: int) -> np.ndarray:
     return m
 
 
-def _row_keys(exps: np.ndarray) -> np.ndarray:
-    """One opaque key per row: rows compare equal iff their keys do."""
-    exps = np.ascontiguousarray(exps)
-    return exps.view(np.dtype((np.void, 8 * exps.shape[1]))).ravel()
+def _pieces(basis, n: int) -> dict[int, int]:
+    """The offset of each degree's piece in a basis made of whole degree
+    pieces, each in `monomials_of_degree` order, no degree twice."""
+    offsets, i = {}, 0
+    while i < len(basis):
+        d = sum(basis[i])
+        piece = monomials_of_degree(n, d)
+        if tuple(basis[i:i + len(piece)]) != piece or d in offsets:
+            raise ValueError(f"basis is not made of whole degree pieces at {i}")
+        offsets[d], i = i, i + len(piece)
+    return offsets
+
+
+@lru_cache(maxsize=None)
+def _piece_exponents(n: int, d: int) -> np.ndarray:
+    """`monomials_of_degree(n, d)` as the rows of an int64 array.  Cached,
+    so read-only."""
+    exps = np.array(monomials_of_degree(n, d), dtype=np.int64).reshape(-1, n)
+    exps.flags.writeable = False
+    return exps
+
+
+def _exponents(basis, n: int) -> np.ndarray:
+    """The exponent vectors of a basis of whole degree pieces, one row
+    each: read-only when the basis is one piece."""
+    pieces = [_piece_exponents(n, d) for d in _pieces(basis, n)]
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate([np.zeros((0, n), dtype=np.int64)] + pieces)
 
 
 @lru_cache(maxsize=256)
-def _exponent_table(basis: tuple, n: int) -> tuple[np.ndarray, ...]:
-    """The exponent vectors of a monomial basis as the rows of an int64
-    array, with their keys sorted and the sorting permutation.  Cached,
-    since all the operators on one degree share their bases; read-only,
-    since every caller gets the same arrays."""
-    exps = np.array(basis, dtype=np.int64).reshape(len(basis), n)
-    order = np.argsort(_row_keys(exps))
-    table = exps, _row_keys(exps)[order], order
-    for a in table:
-        a.flags.writeable = False
+def _offsets(pieces: tuple) -> np.ndarray:
+    """o[d], the offset of degree d's piece, for the (degree, offset)
+    pairs of `_pieces`; -1 for a degree with no piece, and once more past
+    the top degree.  Cached, so read-only."""
+    o = np.full(max((d for d, _ in pieces), default=-1) + 2, -1)
+    for d, offset in pieces:
+        o[d] = offset
+    o.flags.writeable = False
+    return o
+
+
+@lru_cache(maxsize=None)
+def _rank_table(n: int, top: int) -> np.ndarray:
+    """t[s, k] = C(s + k, k + 1), the monomials of degree below s in
+    k + 1 variables, for s <= top and k < n - 1.  Cached, so read-only."""
+    table = np.array([[comb(s + k, k + 1) for k in range(n - 1)] for s in range(top + 1)],
+                     dtype=np.int64).reshape(top + 1, n - 1)
+    table.flags.writeable = False
     return table
 
 
 def _row_index(basis, exps: np.ndarray) -> np.ndarray:
-    """Position in `basis` of each row of `exps`.  Rows are matched whole,
-    so the lookup is exact for any number of variables."""
-    _, keys, order = _exponent_table(tuple(basis), exps.shape[1])
-    want = _row_keys(exps)
-    pos = np.searchsorted(keys, want)
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == want[found]
-    if not found.all():
-        raise KeyError(tuple(int(x) for x in exps[np.argmin(found)]))
-    return order[pos]
+    """Position in `basis`, made of whole degree pieces, of each row of
+    `exps`: the offset of its degree's piece plus its rank in that piece.
+
+    The rank of e in lex-descending order counts, for each variable
+    x_j but the last, the monomials that agree with e before x_j and have
+    a larger exponent there: those of degree below s in the k + 1
+    variables after x_j, e's degree s there, `_rank_table`'s t[s, k].  No
+    number passes the size of a piece, so the lookup is exact for any
+    number of variables."""
+    if exps.size and exps.min() < 0:
+        raise KeyError(tuple(int(x) for x in exps[(exps < 0).any(axis=1).argmax()]))
+    offset = _offsets(tuple(_pieces(basis, exps.shape[1]).items()))
+    # column by column: numpy sums along the short rows far more slowly;
+    # a degree past the table reads the -1 at its end
+    rank = offset[np.minimum(sum(exps.T), len(offset) - 1)]
+    if rank.size and rank.min() < 0:
+        raise KeyError(tuple(int(x) for x in exps[rank.argmin()]))
+    table, suffix = _rank_table(exps.shape[1], len(offset) - 2), 0
+    for k, column in enumerate(exps.T[:0:-1]):  # the degree in the last k + 1
+        suffix = suffix + column
+        rank += table[suffix, k]
+    return rank
 
 
 def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
@@ -328,16 +381,46 @@ def _peel(a: Entries) -> tuple[np.ndarray, Entries]:
     forces x_c = 0 in every kernel vector, so c is a pivot.  Its entries
     are dropped, which may leave further rows with one entry; repeated
     until none has.  Returns the mask of the forced columns and the
-    remaining entries (the core)."""
+    remaining entries (the core).
+
+    The first round counts the entries of every row.  The entries it
+    leaves are grouped by column once, and every row keeps the count and
+    the column sum of its live entries, so a row with one names its
+    column; a later round reads only the entries of the columns it
+    forces, and takes the next singletons from the rows it touched.  So
+    the peel is linear in the entries, however many rounds it takes."""
     forced = np.zeros(a.shape[1], dtype=bool)
-    rows, cols, vals = a.rows, a.cols, a.vals
-    while True:
-        single = np.bincount(rows, minlength=a.shape[0])[rows] == 1
-        if not single.any():
-            return forced, Entries(a.shape, rows, cols, vals)
-        forced[cols[single]] = True
-        keep = ~forced[cols]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    count = np.bincount(a.rows, minlength=a.shape[0])
+    forced[a.cols[count[a.rows] == 1]] = True
+    live = ~forced[a.cols]
+    rows, cols = a.rows[live], a.cols[live]
+    count = np.bincount(rows, minlength=a.shape[0])
+    single = (count == 1).nonzero()[0]
+    if len(single):
+        # a row's column sum is below 2^53, so exact in float64
+        colsum = np.bincount(rows, weights=cols, minlength=a.shape[0]).astype(np.int64)
+        # a radix sort when the columns fit in 16 bits
+        by_col = rows[cols.astype(np.min_scalar_type(a.shape[1])).argsort(kind="stable")]
+        width = np.bincount(cols, minlength=a.shape[1])
+        ends = width.cumsum()
+        owner = np.empty(a.shape[1], dtype=np.int64)
+    while len(single):
+        # the columns the singletons name, each once: the one position
+        # whose write of a column lands keeps it
+        cs = colsum[single]
+        at = np.arange(len(cs))
+        owner[cs] = at
+        cs = cs[owner[cs] == at]
+        forced[cs] = True
+        lengths = width[cs]
+        total = lengths.cumsum()
+        # the rows of the entries of each c in cs, at ends[c] - width[c] .. ends[c]
+        touched = by_col[np.arange(total[-1]) + np.repeat(ends[cs] - total, lengths)]
+        np.subtract.at(count, touched, 1)
+        np.subtract.at(colsum, touched, np.repeat(cs, lengths))
+        single = touched[count[touched] == 1]  # a row touched twice may come twice
+    keep = ~forced[a.cols]
+    return forced, Entries(a.shape, a.rows[keep], a.cols[keep], a.vals[keep])
 
 
 def _eliminate(a, p: int):
@@ -373,16 +456,31 @@ def rank(a, p: int) -> int:
 
 def nullspace(a, p: int) -> list[np.ndarray]:
     """Basis of the right nullspace of a, a dense matrix or its nonzero
-    `Entries`, one vector per free column.
+    `Entries`, one vector per free column: `nullspaces` with one piece."""
+    return next(nullspaces(a, p, [a.shape[1]]))
+
+
+def nullspaces(a, p: int, widths):
+    """The `nullspace` of each piece of a's columns, of the given widths,
+    in turn, when no row of a meets two pieces.
 
     Every kernel vector is 0 on the columns `_peel` forces, and up to a
     permutation the core is block diagonal, so the pivot columns are the
     forced ones and those of its blocks, and the vector of a free column,
     its unique expression in the pivot columns, lies in that column's
-    block: the basis is the one a single rref of a would give, vector for
-    vector.
+    block, and so in its piece: each basis is the one a single rref of
+    the piece would give, vector for vector.  Only one piece's basis is
+    dense at a time.
     """
-    return _kernel_basis(*_eliminate(a, p), p)
+    free, solved = _eliminate(a, p)
+    start = 0
+    for width in widths:
+        end = start + width
+        # each block lies in one piece: that of its first pivot column
+        own = [(fcs - start, pcs - start, coeffs)
+               for fcs, pcs, coeffs in solved if start <= pcs[0] < end]
+        yield _kernel_basis(free[start:end], own, p)
+        start = end
 
 
 def _kernel_basis(free, solved, p: int) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SEED
 from poismodp import linalg
 from poismodp.center import (
     center_generators_skew,
@@ -15,6 +17,7 @@ from poismodp.center import (
     find_beta,
     gorenstein_skew,
     gorenstein_via_theorem38,
+    graded_kernel,
     graded_products,
     graded_span_dims,
     hilbert_skew,
@@ -35,7 +38,8 @@ from poismodp.errors import (
     WrongArity,
 )
 from poismodp.fieldpoly import MultiPoly, format_poly, monomials_of_degree, parse_poly
-from poismodp.linalg import coeff_matrix
+from poismodp.linalg import coeff_matrix, vec_to_poly
+from poismodp.loz import log_ozone_group
 from poismodp.structure import (
     SkewMatrix,
     explicit_structure,
@@ -391,6 +395,88 @@ class TestOracle:
         gens = [MultiPoly.variable(p, 4, i) ** p for i in range(4)]
         dims, _ = graded_span_dims(p, 4, gens, 6)
         assert report.hilbert == dims
+
+
+def graded_kernel_per_degree(p, n, max_degree, derivations):
+    """Reference for `graded_kernel`: one elimination per degree."""
+    h = max((g.degree() for images in derivations for g in images if not g.is_zero),
+            default=1)
+    hilbert, graded_basis = [], {}
+    for d in range(max_degree + 1):
+        src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + h - 1)
+        kernel = linalg.nullspace(linalg.derivation_entries(derivations, src, tgt), p)
+        graded_basis[d] = [vec_to_poly(v, p, n, src) for v in kernel]
+        hilbert.append(len(kernel))
+    return hilbert, graded_basis
+
+
+def graded_kernel_cases():
+    """(p, n, max_degree, derivations): brackets of random skew matrices
+    and of the p=5 and p=7 catalogs, the degree-0 log-ozone bases C_loz
+    takes its kernel of, images that are all zero, and constant images
+    (h = 0), which map A_0 to nothing."""
+    rng = random.Random(SEED)
+    cases = []
+    for p, n in ((3, 2), (5, 2), (3, 3), (5, 3), (7, 3), (3, 4), (5, 4)):
+        for _ in range(3):
+            upper = {(i, j): rng.randrange(p) for i in range(n) for j in range(i + 1, n)}
+            s = from_skew_matrix(SkewMatrix.from_upper(p, n, upper))
+            cases.append((p, n, 2 * p + 1, [a.images for a in s.ad]))
+    for p in (5, 7):
+        for form in potential_catalog(p):
+            s = form.structure()
+            cases.append((p, 3, 3 * p, [a.images for a in s.ad]))
+            if p == 5:
+                basis = log_ozone_group(s, 1).basis
+                cases.append((p, 3, 12, [delta.images for delta, _ in basis]))
+    zero = [[MultiPoly.zero(5, 3)] * 3]
+    constant = [[MultiPoly.const(5, 2, 1), MultiPoly.zero(5, 2)],
+                [MultiPoly.const(5, 2, 2), MultiPoly.const(5, 2, 3)]]
+    cases += [(5, 3, 6, zero), (5, 3, 0, zero), (5, 2, 7, constant), (5, 2, 0, constant)]
+    cases += [(p, n, 0, derivations) for p, n, _, derivations in cases[:3]]
+    return cases
+
+
+class TestGradedKernel:
+    """All degrees of a group are eliminated as one matrix; each degree's
+    basis is still the one of its own elimination, vector for vector."""
+
+    @pytest.mark.parametrize("budget", [1, 1024, 10**9])
+    def test_against_per_degree(self, monkeypatch, budget):
+        calls = []
+        entries = linalg.derivation_entries
+        monkeypatch.setattr("poismodp.center.derivation_entries",
+                            lambda *args: calls.append(args) or entries(*args))
+        monkeypatch.setattr("poismodp.center._GROUP_COLUMNS", budget)
+        for p, n, max_degree, derivations in graded_kernel_cases():
+            calls.clear()
+            hilbert, basis = graded_kernel(p, n, max_degree, derivations, Limits())
+            ref_hilbert, ref_basis = graded_kernel_per_degree(p, n, max_degree, derivations)
+            assert hilbert == ref_hilbert
+            assert list(basis) == list(ref_basis)
+            for d, polys in basis.items():
+                assert [f.terms for f in polys] == [f.terms for f in ref_basis[d]], d
+            widths = [len(monomials_of_degree(n, d)) for d in range(max_degree + 1)]
+            if budget == 1:
+                assert len(calls) == max_degree + 1
+            elif budget > sum(widths):
+                assert len(calls) == 1
+            assert all(len(src) <= budget or len(src) in widths for _, src, _ in calls)
+
+    def test_cap_before_any_piece(self, monkeypatch):
+        # degree 99 is the first of more than 5000 columns at n = 3; the
+        # pieces up to 10^5 would be about 1.7 * 10^14 monomials, and no
+        # piece is listed and no entries are built before every degree
+        # is checked
+        def refuse(*args):
+            raise AssertionError("piece listed or entries built")
+
+        monkeypatch.setattr("poismodp.center.monomials_of_degree", refuse)
+        monkeypatch.setattr("poismodp.center.derivation_entries", refuse)
+        s = trivial_structure(5, 3)
+        with pytest.raises(DegreeBoundTooLarge) as raised:
+            graded_kernel(5, 3, 10**5, [a.images for a in s.ad], Limits())
+        assert str(raised.value) == "5050 columns at degree 99, cap is 5000"
 
 
 class TestOracleAgainstDefinition:

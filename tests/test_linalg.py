@@ -305,9 +305,77 @@ def permuted_bidiagonal(size, p, seed):
     return linalg.Entries((size, size), rperm[rows], cperm[cols], vals)
 
 
+def peel_by_rounds(a):
+    """Reference for `_peel`: every round counts the live entries of
+    every row, until no row has one."""
+    forced = np.zeros(a.shape[1], dtype=bool)
+    rows, cols, vals = a.rows, a.cols, a.vals
+    while True:
+        single = np.bincount(rows, minlength=a.shape[0])[rows] == 1
+        if not single.any():
+            return forced, linalg.Entries(a.shape, rows, cols, vals)
+        forced[cols[single]] = True
+        keep = ~forced[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+
+
 class TestPeel:
     """Row singletons are peeled before the block split; the kernel is
     still the one of a single dense elimination, vector for vector."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(singleton_chains())
+    def test_chains_against_rounds(self, case):
+        a, p = case
+        entries = linalg._entries(a, p)
+        expected, core = peel_by_rounds(entries)
+        forced, peeled = linalg._peel(entries)
+        assert forced.tolist() == expected.tolist()
+        assert peeled.shape == core.shape
+        for mine, theirs in zip(peeled[1:], core[1:]):
+            assert mine.tolist() == theirs.tolist()
+
+    def test_rows_left_with_one_column(self):
+        # row 0 forces column 5, which leaves rows 1 and 2 both with
+        # column 1 alone; forcing it once leaves row 3 with columns 0
+        # and 3 (twice would leave it one entry, naming column 2)
+        a = np.array([[0, 0, 0, 0, 0, 1],
+                      [0, 1, 0, 0, 0, 1],
+                      [0, 2, 0, 0, 0, 3],
+                      [1, 1, 0, 1, 0, 0],
+                      [1, 0, 0, 2, 0, 0],
+                      [2, 0, 0, 1, 0, 0]], dtype=np.int64)
+        forced, core = linalg._peel(linalg._entries(a, 5))
+        assert forced.tolist() == [False, True, False, False, False, True]
+        assert core.rows.tolist() == [3, 3, 4, 4, 5, 5]
+        assert core.cols.tolist() == [0, 3, 0, 3, 0, 3]
+
+    def test_long_chain_is_linear(self, monkeypatch):
+        # one column per round: counting the live entries of every row
+        # in each of the 3000 rounds would read about 9 * 10^6 of them
+        class CountingNumpy:
+            """numpy, counting the elements that `np.bincount` and
+            `np.subtract.at` read: the peel's passes over entries."""
+            read = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def bincount(self, x, *args, **kwargs):
+                CountingNumpy.read += len(x)
+                return np.bincount(x, *args, **kwargs)
+
+            class subtract:
+                @staticmethod
+                def at(a, index, values):
+                    CountingNumpy.read += len(index)
+                    np.subtract.at(a, index, values)
+
+        a = permuted_bidiagonal(3000, 5, SEED)
+        monkeypatch.setattr(linalg, "np", CountingNumpy())
+        forced, core = linalg._peel(a)
+        assert forced.all() and len(core.vals) == 0
+        assert 0 < CountingNumpy.read <= 6 * len(a.rows)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(singleton_chains())

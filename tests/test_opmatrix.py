@@ -23,6 +23,7 @@ from poismodp.fieldpoly import (
     parse_poly,
 )
 from poismodp.linalg import (
+    _row_index,
     coeff_matrix,
     derivation_entries,
     derivation_matrix,
@@ -282,6 +283,69 @@ class TestDerivationMatrixVectorised:
         images = [quadratic() for _ in range(n)]
         src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
         assert_matches_tuple_loop(images, src, tgt)
+
+
+def whole_pieces(n, degrees):
+    return tuple(e for d in degrees for e in monomials_of_degree(n, d))
+
+
+class TestRowIndex:
+    """`_row_index` finds a monomial in a basis of whole degree pieces by
+    its degree's offset and its rank in the piece: the same positions as
+    a dict over the basis."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("degrees", [(0,), (4,), (0, 1, 2, 3, 4), (1, 3), (2, 5), (5, 0, 2)])
+    def test_against_a_dict(self, rng, n, degrees):
+        basis = whole_pieces(n, degrees)
+        index = {e: r for r, e in enumerate(basis)}
+        # every monomial, some twice, in a random order
+        wanted = rng.sample(basis, len(basis)) + rng.choices(basis, k=len(basis))
+        exps = np.array(wanted, dtype=np.int64).reshape(-1, n)
+        assert _row_index(basis, exps).tolist() == [index[e] for e in wanted]
+        assert _row_index(basis, exps[:0]).tolist() == []
+
+    @pytest.mark.parametrize("n", [100, 130])
+    def test_many_variables(self, n):
+        # C(n + 1, 2) = 8515 monomials of degree 2 at n = 130; a table of
+        # all binomials up to n, or a mixed-radix key, would pass 2^63
+        basis = whole_pieces(n, (1, 2))
+        exps = np.array(basis, dtype=np.int64)
+        assert _row_index(basis, exps[::-1]).tolist() == list(range(len(basis)))[::-1]
+
+    @pytest.mark.parametrize("row", [(-1, 3, 0), (3, -1, 0), (1, 1, 1), (0, 0, 0), (2, 2, 3)],
+                             ids=["negative", "negative-degree-2", "gap", "missing-0",
+                                  "above-top"])
+    def test_missing_rows_raise(self, row):
+        basis = whole_pieces(3, (2, 4))
+        exps = np.array([(2, 0, 0), row, (0, 0, 4)], dtype=np.int64)
+        with pytest.raises(KeyError) as raised:
+            _row_index(basis, exps)
+        assert raised.value.args == (row,)
+
+    @pytest.mark.parametrize("basis", [
+        monomials_of_degree(3, 2)[1:],
+        monomials_of_degree(3, 2)[::-1],
+        monomials_of_degree(3, 1) + monomials_of_degree(3, 1),
+    ], ids=["partial", "reordered", "repeated"])
+    def test_other_bases_rejected(self, basis):
+        with pytest.raises(ValueError, match="whole degree pieces"):
+            _row_index(basis, np.zeros((0, 3), dtype=np.int64))
+
+    def test_reached_rows_on_many_variables(self, rng):
+        # with targets the rows are found by rank; without, the rows are
+        # the reached monomials, found by whole rows: both exact at any n
+        p, n = 5, 120
+        images = [MultiPoly(p, n, {tuple(int(i in (a, b)) + int(i == a == b) for i in range(n)):
+                                   rng.randrange(1, p)})
+                  for a, b in ((rng.randrange(n), rng.randrange(n)) for _ in range(n))]
+        src, tgt = monomials_of_degree(n, 1), monomials_of_degree(n, 2)
+        assert_matches_tuple_loop(images, src, tgt)
+        reached = derivation_entries([images], src)
+        listed = derivation_entries([images], src, tgt)
+        assert len(reached.vals) == len(listed.vals) > 0
+        kernels = nullspace(reached, p), nullspace(listed, p)
+        assert [v.tolist() for v in kernels[0]] == [v.tolist() for v in kernels[1]]
 
 
 class TestCoeffMatrix:
