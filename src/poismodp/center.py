@@ -20,8 +20,8 @@ from .errors import (
     SmallCharacteristic,
     WrongArity,
 )
-from .fieldpoly import MultiPoly, monomials_of_degree, monomials_upto_degree
-from .linalg import coeff_matrix, derivation_entries, derivation_matrix, vec_to_poly
+from .fieldpoly import MultiPoly
+from .linalg import coeff_matrix, derivation_entries, derivation_matrix
 from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 
 # ---------------------------------------------------------------------
@@ -32,9 +32,7 @@ from .structure import PoissonStructure, SkewMatrix, from_skew_matrix
 def bracket_matrices(struct: PoissonStructure, d: int) -> np.ndarray:
     """For graded structures: the n x |A_{d+1}| x |A_d| array whose i-th
     matrix is f |-> {x_i, f} from A_d to A_{d+1}."""
-    n = struct.n
-    return derivation_matrix([a.images for a in struct.ad],
-                             monomials_of_degree(n, d), monomials_of_degree(n, d + 1))
+    return derivation_matrix([a.images for a in struct.ad], struct.n, (d,), (d + 1,))
 
 
 # ---------------------------------------------------------------------
@@ -308,25 +306,31 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
 _GROUP_COLUMNS = 1024
 
 
+def degree_widths(n: int, max_degree: int, limits: Limits) -> list[int]:
+    """C(d + n - 1, n - 1), the monomials of degree d, for d up to
+    max_degree, each checked against `Limits.columns`."""
+    widths = []
+    for d in range(max_degree + 1):
+        widths.append(comb(d + n - 1, n - 1))
+        limits.check("columns", widths[-1], f"columns at degree {d}")
+    return widths
+
+
 def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
     """Hilbert function and graded basis of the joint kernel of the
     derivations x_j |-> images[j], one per image list in `derivations`,
     degree by degree up to max_degree.  Their images are homogeneous of
     one degree h, so each maps A_d into A_{d+h-1}; with no nonzero image,
-    the kernel is all of A_d.  Every degree's width is checked against
-    `Limits.columns` before any monomial is listed.
+    the kernel is all of A_d.  Every degree's width is checked first.
 
     Consecutive degrees of at most `_GROUP_COLUMNS` columns in all (or a
-    single degree) are eliminated as one matrix, from their sum into that
-    of their targets.  No row meets two degrees, so `linalg.nullspaces`
-    gives each degree the basis of its own elimination."""
+    single degree) are eliminated as one matrix, from the basis of those
+    degrees into that of their targets.  No row meets two degrees, so
+    `linalg.nullspaces` gives each degree the kernel of its own
+    elimination, and `linalg.polys` reads it back on that degree."""
     h = max((g.degree() for images in derivations for g in images if not g.is_zero),
             default=1)
-    widths = []  # C(d + n - 1, n - 1) monomials of degree d
-    for d in range(max_degree + 1):
-        widths.append(comb(d + n - 1, n - 1))
-        limits.check("columns", widths[-1], f"columns at degree {d}")
-    sources = [monomials_of_degree(n, d) for d in range(max_degree + 1)]
+    widths = degree_widths(n, max_degree, limits)
     hilbert = []
     graded_basis: dict[int, list[MultiPoly]] = {}
     columns = np.cumsum([0] + widths)  # the columns before each degree
@@ -334,12 +338,11 @@ def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
     while lo <= max_degree:
         # degrees lo..hi-1: at most _GROUP_COLUMNS columns, or one degree
         hi = max(lo + 1, int(columns.searchsorted(columns[lo] + _GROUP_COLUMNS, "right")) - 1)
-        src = tuple(itertools.chain.from_iterable(sources[lo:hi]))
-        tgt = tuple(itertools.chain.from_iterable(
-            monomials_of_degree(n, d + h - 1) for d in range(lo, hi)))
-        kernels = linalg.nullspaces(derivation_entries(derivations, src, tgt), p, widths[lo:hi])
-        for d, kernel in zip(range(lo, hi), kernels):
-            graded_basis[d] = [vec_to_poly(v, p, n, sources[d]) for v in kernel]
+        # constant images (h = 0) map A_0 to nothing
+        src, tgt = tuple(range(lo, hi)), tuple(range(max(lo + h - 1, 0), hi + h - 1))
+        kernels = linalg.nullspaces(derivation_entries(derivations, n, src, tgt), p, widths[lo:hi])
+        for d, kernel in zip(src, kernels):
+            graded_basis[d] = linalg.polys(kernel, p, n, (d,))
             hilbert.append(len(kernel))
         lo = hi
     return hilbert, graded_basis
@@ -374,15 +377,15 @@ def center_oracle(
 
 def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
     p, n = struct.p, struct.n
-    src = monomials_upto_degree(n, max_degree)
-    limits.check("columns", len(src), "filtration columns")
+    src = tuple(range(max_degree + 1))
+    limits.check("columns", comb(max_degree + n, n), "filtration columns")
     # rows: the monomials the brackets reach, not all of a degree bound
-    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], src), p)
-    basis_polys = [vec_to_poly(v, p, n, src) for v in kernel]
+    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], n, src), p)
+    basis_polys = linalg.polys(kernel, p, n, src)
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d
-    degrees = np.array([sum(e) for e in src])
-    mat = np.reshape(kernel, (len(kernel), len(src)))
+    degrees = np.repeat(src, [comb(d + n - 1, n - 1) for d in src])
+    mat = np.reshape(kernel, (len(kernel), len(degrees)))
     hilbert = [len(kernel) - linalg.rank(mat[:, degrees > d], p)
                for d in range(max_degree + 1)]
     return CenterReport(
@@ -412,7 +415,7 @@ def graded_products(
     pairs = [(k, h) for k, g in enumerate(factors)
              for h in family.get(d - g.degree(), [])]
     products = [factors[k] * h for k, h in pairs]
-    return pairs, coeff_matrix(products, monomials_of_degree(n, d))
+    return pairs, coeff_matrix(products, n, (d,))
 
 
 def _check_generators(gens: list[MultiPoly]) -> None:
@@ -430,8 +433,7 @@ def graded_span_dims(
     bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
     for d in range(1, max_degree + 1):
         red, pivots = linalg.rref(graded_products(n, gens, bases, d)[1].T, p)
-        src = monomials_of_degree(n, d)
-        bases[d] = [vec_to_poly(v, p, n, src) for v in red[: len(pivots)]]
+        bases[d] = linalg.polys(red[: len(pivots)], p, n, (d,))
     return [len(bases[d]) for d in range(max_degree + 1)], bases
 
 
@@ -452,9 +454,8 @@ def reduce_generators(p: int, n: int, gens: list[MultiPoly]) -> list[MultiPoly]:
         # the subalgebra's degrees below d
         for e in range(len(bases), d):
             red, pivots = linalg.rref(graded_products(n, kept, bases, e)[1].T, p)
-            src = monomials_of_degree(n, e)
-            bases[e] = [vec_to_poly(v, p, n, src) for v in red[: len(pivots)]]
-        vec = coeff_matrix([g], monomials_of_degree(n, d))[:, 0]
+            bases[e] = linalg.polys(red[: len(pivots)], p, n, (e,))
+        vec = coeff_matrix([g], n, (d,))[:, 0]
         if not linalg.in_row_space(graded_products(n, kept, bases, d)[1].T, vec, p):
             kept.append(g)
     return kept
@@ -488,7 +489,7 @@ def rank_over_subring(
         basis = sub_bases.get(d, [])
         if not basis:
             continue
-        quotient = linalg.rank(coeff_matrix(basis, monomials_of_degree(n, d)), p)
+        quotient = linalg.rank(coeff_matrix(basis, n, (d,)), p)
         quotient -= linalg.rank(graded_products(n, powers, sub_bases, d)[1], p)
         if quotient:
             last_nonzero = d

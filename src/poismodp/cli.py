@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except InternalCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PoisError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (PoisError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

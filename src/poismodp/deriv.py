@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ArityMismatch, ModulusMismatch
-from .fieldpoly import MultiPoly, monomials_of_degree
+from .fieldpoly import MultiPoly
 from .linalg import coeff_matrix, derivation_matrix
 
 if TYPE_CHECKING:
@@ -73,7 +73,7 @@ class Derivation:
         coefficients of d(x_i) on (x_1, ..., x_n)."""
         if not self.is_graded_degree_zero():
             raise ArityMismatch("matrix form needs a graded degree-0 derivation")
-        return coeff_matrix(self.images, monomials_of_degree(self.n, 1)).T
+        return coeff_matrix(self.images, self.n, (1,)).T
 
     def matrix_on_degree(self, d: int) -> np.ndarray:
         """Matrix of the action of a degree-0 derivation on the degree-d
@@ -81,8 +81,7 @@ class Derivation:
         k-th monomial of `monomials_of_degree(n, d)` on the same basis."""
         if not self.is_graded_degree_zero():
             raise ArityMismatch("matrix form needs a graded degree-0 derivation")
-        basis = monomials_of_degree(self.n, d)
-        return derivation_matrix([self.images], basis, basis)[0]
+        return derivation_matrix([self.images], self.n, (d,), (d,))[0]
 
     def key(self) -> tuple:
         if self._key is None:

@@ -409,9 +409,9 @@ def check_nongraded_example() -> list[str]:
     _expect(problems, {format_poly(f) for f, _ in nonconstant} == expected,
             f"normal linear forms mismatch: {[format_poly(f) for f, _ in nonconstant]}")
     deltas = [d for _, d in nonconstant]
-    basis = sorted({e for d in deltas for g in d.images for e in g.terms})
+    degrees = tuple(sorted({sum(e) for d in deltas for g in d.images for e in g.terms}))
     # column k: the coefficients of every image of deltas[k]
-    mat = np.vstack([linalg.coeff_matrix([d.images[j] for d in deltas], basis)
+    mat = np.vstack([linalg.coeff_matrix([d.images[j] for d in deltas], 2, degrees)
                      for j in range(2)])
     _expect(problems, linalg.rank(mat, p) == len(deltas),
             "derivations must be F_p-independent")

@@ -26,20 +26,20 @@ each member's kernel with `nullspace`'s own step.  `rref` itself stays a
 loop over one matrix: routed through `rref_stack`, the 526 `rref` calls
 of that center_oracle pass took about five times as long.
 
-Polynomials and matrices on a monomial basis meet only here, and only
-here is a basis held as an int64 exponent array: `coeff_matrix` fills a
-whole array from polynomial terms, `derivation_entries` lists the
-nonzero entries of the operators of derivations and `derivation_matrix`
-writes them into a dense array, `multiplication_matrices` fills arrays
-from exponents alone, and `vec_to_poly` reads a vector back.  The
-operators take bases made of whole degree pieces, each in
-`monomials_of_degree` order, and `_row_index` finds a monomial in one
-by arithmetic on its exponents.
+Polynomials and matrices on a monomial basis meet only here.  A basis
+is named by n and a tuple of distinct degrees, the monomials of each
+degree in `monomials_of_degree` order, and `_basis` describes each once.
+`coeff_matrix` fills a whole array from polynomial terms, looked up in a
+dict; `derivation_entries` lists the nonzero entries of the operators
+of derivations and `derivation_matrix` writes them into a dense array;
+`multiplication_matrices` fills arrays from exponents alone, found by
+`_row_index`'s arithmetic; and `polys` reads the rows of an array back.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -49,10 +49,11 @@ from .errors import InternalCheckFailed, ZeroInput
 from .fieldpoly import MultiPoly, UniPoly, ff_inv, monomials_of_degree
 
 
-def coeff_matrix(polys, basis) -> np.ndarray:
-    """Column k holds the coefficients of polys[k] on the monomial basis."""
-    index = {e: r for r, e in enumerate(basis)}
-    m = np.zeros((len(basis), len(polys)), dtype=np.int64)
+def coeff_matrix(polys, n: int, degrees: tuple) -> np.ndarray:
+    """Column k holds the coefficients of polys[k] on the monomials of
+    the given degrees."""
+    index = _index(n, degrees)
+    m = np.zeros((len(index), len(polys)), dtype=np.int64)
     for k, f in enumerate(polys):
         for e, c in f.terms.items():
             m[index[e], k] = c
@@ -69,13 +70,13 @@ class Entries(NamedTuple):
     vals: np.ndarray
 
 
-def derivation_entries(derivations, src, tgt=None) -> Entries:
+def derivation_entries(derivations, n: int, src: tuple, tgt: tuple | None = None) -> Entries:
     """The matrices of the derivations x_j |-> images[j], one per image
-    list in `derivations`, from span(src) into span(tgt), stacked into one
-    (len(derivations) * len(tgt), len(src)) matrix, as its nonzero
-    entries in row-major order.  Without `tgt`, the rows of each matrix
-    are the target monomials some derivation reaches, so that no basis
-    of unreached targets is ever listed.
+    list in `derivations`, from the basis of the degrees `src` into that
+    of `tgt`, stacked into one (len(derivations) * |tgt|, |src|) matrix,
+    as its nonzero entries in row-major order.  Without `tgt`, the rows
+    of each matrix are the target monomials some derivation reaches, so
+    that no basis of unreached targets is ever listed.
 
     delta(x^e) = sum_j e_j x^(e - eps_j) images[j] is summed from the
     products e_j c x^(e - eps_j + f), for c x^f a term of images[j].  The
@@ -83,23 +84,24 @@ def derivation_entries(derivations, src, tgt=None) -> Entries:
     derivations are taken at once: each shifts the sources with
     e_j != 0 mod p, and one lookup finds all target rows.
     """
+    exps = _basis(n, src).exps
     terms = [(k, j, e, c) for k, images in enumerate(derivations)
              for j, g in enumerate(images) for e, c in g.terms.items()]
     if not terms:
-        shape = (len(derivations) * len(tgt or ()), len(src))
+        shape = (len(derivations) * (len(_basis(n, tgt).exps) if tgt else 0), len(exps))
         return Entries(shape, *np.zeros((3, 0), dtype=np.int64))
     p = derivations[0][0].p
     ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
     shifts[np.arange(len(js)), js] -= 1
-    exps = _exponents(src, shifts.shape[1])
     powers = exps[:, js] % p  # e_j of every source, one column per term
     s, t = powers.nonzero()
     if tgt is None:
-        tgt, rows = np.unique(exps[s] + shifts[t], axis=0, return_inverse=True)
-        rows = rows.reshape(-1)
+        reached, rows = np.unique(exps[s] + shifts[t], axis=0, return_inverse=True)
+        rows, height = rows.reshape(-1), len(reached)
     else:
-        rows = _row_index(tgt, exps[s] + shifts[t])
-    flat = (ks[t] * len(tgt) + rows) * len(src) + s
+        tgt = _basis(n, tgt)
+        rows, height = _row_index(tgt, exps[s] + shifts[t]), len(tgt.exps)
+    flat = (ks[t] * height + rows) * len(exps) + s
     order = flat.argsort()
     flat = flat[order]
     first = np.ones(len(flat), dtype=bool)
@@ -108,21 +110,22 @@ def derivation_entries(derivations, src, tgt=None) -> Entries:
     # each cell sums at most n products below p^2: exact in int64
     sums = np.add.reduceat((powers[s, t] * coeffs[t])[order], first) % p
     keep = sums.nonzero()[0]
-    shape = (len(derivations) * len(tgt), len(src))
-    return Entries(shape, *np.divmod(flat[first[keep]], len(src)), sums[keep])
+    shape = (len(derivations) * height, len(exps))
+    return Entries(shape, *np.divmod(flat[first[keep]], len(exps)), sums[keep])
 
 
-def derivation_matrix(derivations, src, tgt) -> np.ndarray:
-    """`derivation_entries(derivations, src, tgt)` written into one dense
-    (len(derivations), len(tgt), len(src)) array.
+def derivation_matrix(derivations, n: int, src: tuple, tgt: tuple) -> np.ndarray:
+    """`derivation_entries(derivations, n, src, tgt)` written into one
+    dense (len(derivations), |tgt|, |src|) array.
 
     The array is written in full, not left to the lazily zeroed pages of
     np.zeros: numpy asks the kernel for 2 MiB pages on large arrays, so
     the resident size of a sparsely written one would depend on whether
     the machine has such pages free at that moment.
     """
-    m = np.full((len(derivations), len(tgt), len(src)), 0, dtype=np.int64)
-    entries = derivation_entries(derivations, src, tgt)
+    m = np.full((len(derivations), len(_basis(n, tgt).exps), len(_basis(n, src).exps)), 0,
+                dtype=np.int64)
+    entries = derivation_entries(derivations, n, src, tgt)
     m.reshape(entries.shape)[entries.rows, entries.cols] = entries.vals
     return m
 
@@ -132,56 +135,45 @@ def multiplication_matrices(n: int, d: int) -> np.ndarray:
     """The n x |A_{d+1}| x |A_d| array whose j-th matrix is f |-> x_j f
     from A_d to A_{d+1}: one row lookup of the shifted sources per j.
     Cached, so read-only: every caller gets the same array."""
-    src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
-    exps = _exponents(src, n)
-    m = np.full((n, len(tgt), len(src)), 0, dtype=np.int64)
+    src, tgt = _basis(n, (d,)), _basis(n, (d + 1,))
+    m = np.full((n, len(tgt.exps), len(src.exps)), 0, dtype=np.int64)
     for j, shift in enumerate(np.eye(n, dtype=np.int64)):
-        m[j, _row_index(tgt, exps + shift), np.arange(len(src))] = 1
+        m[j, _row_index(tgt, src.exps + shift), np.arange(len(src.exps))] = 1
     m.flags.writeable = False
     return m
 
 
-def _pieces(basis, n: int) -> dict[int, int]:
-    """The offset of each degree's piece in a basis made of whole degree
-    pieces, each in `monomials_of_degree` order, no degree twice."""
-    offsets, i = {}, 0
-    while i < len(basis):
-        d = sum(basis[i])
-        piece = monomials_of_degree(n, d)
-        if tuple(basis[i:i + len(piece)]) != piece or d in offsets:
-            raise ValueError(f"basis is not made of whole degree pieces at {i}")
-        offsets[d], i = i, i + len(piece)
-    return offsets
+class _Basis(NamedTuple):
+    """The monomials of some degrees, degree by degree, the same as the
+    rows of `exps`, and offset[d], the position of degree d's piece: -1
+    for a degree with no piece, and once more past the top degree."""
+
+    monomials: tuple
+    exps: np.ndarray
+    offset: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _piece_exponents(n: int, d: int) -> np.ndarray:
-    """`monomials_of_degree(n, d)` as the rows of an int64 array.  Cached,
-    so read-only."""
-    exps = np.array(monomials_of_degree(n, d), dtype=np.int64).reshape(-1, n)
-    exps.flags.writeable = False
-    return exps
+def _basis(n: int, degrees: tuple) -> _Basis:
+    """The basis of a tuple of distinct degrees.  Cached, so read-only."""
+    pieces = [monomials_of_degree(n, d) for d in degrees]
+    if len(degrees) == 1:
+        monomials, exps = pieces[0], np.array(pieces[0], dtype=np.int64).reshape(-1, n)
+    else:
+        monomials = tuple(chain.from_iterable(pieces))
+        exps = np.concatenate([np.zeros((0, n), dtype=np.int64)]
+                              + [_basis(n, (d,)).exps for d in degrees])
+    offset = np.full(max(degrees, default=-1) + 2, -1)
+    offset[list(degrees)] = np.cumsum([0] + [len(piece) for piece in pieces[:-1]])
+    exps.flags.writeable = offset.flags.writeable = False
+    return _Basis(monomials, exps, offset)
 
 
-def _exponents(basis, n: int) -> np.ndarray:
-    """The exponent vectors of a basis of whole degree pieces, one row
-    each: read-only when the basis is one piece."""
-    pieces = [_piece_exponents(n, d) for d in _pieces(basis, n)]
-    if len(pieces) == 1:
-        return pieces[0]
-    return np.concatenate([np.zeros((0, n), dtype=np.int64)] + pieces)
-
-
-@lru_cache(maxsize=256)
-def _offsets(pieces: tuple) -> np.ndarray:
-    """o[d], the offset of degree d's piece, for the (degree, offset)
-    pairs of `_pieces`; -1 for a degree with no piece, and once more past
-    the top degree.  Cached, so read-only."""
-    o = np.full(max((d for d, _ in pieces), default=-1) + 2, -1)
-    for d, offset in pieces:
-        o[d] = offset
-    o.flags.writeable = False
-    return o
+@lru_cache(maxsize=None)
+def _index(n: int, degrees: tuple) -> dict:
+    """The position of each monomial of `_basis(n, degrees)`, built only
+    for the bases `coeff_matrix` reads.  Cached."""
+    return {e: r for r, e in enumerate(_basis(n, degrees).monomials)}
 
 
 @lru_cache(maxsize=None)
@@ -194,9 +186,9 @@ def _rank_table(n: int, top: int) -> np.ndarray:
     return table
 
 
-def _row_index(basis, exps: np.ndarray) -> np.ndarray:
-    """Position in `basis`, made of whole degree pieces, of each row of
-    `exps`: the offset of its degree's piece plus its rank in that piece.
+def _row_index(basis: _Basis, exps: np.ndarray) -> np.ndarray:
+    """Position in `basis` of each row of `exps`: the offset of its
+    degree's piece plus its rank in that piece.
 
     The rank of e in lex-descending order counts, for each variable
     x_j but the last, the monomials that agree with e before x_j and have
@@ -206,7 +198,7 @@ def _row_index(basis, exps: np.ndarray) -> np.ndarray:
     number of variables."""
     if exps.size and exps.min() < 0:
         raise KeyError(tuple(int(x) for x in exps[(exps < 0).any(axis=1).argmax()]))
-    offset = _offsets(tuple(_pieces(basis, exps.shape[1]).items()))
+    offset = basis.offset
     # column by column: numpy sums along the short rows far more slowly;
     # a degree past the table reads the -1 at its end
     rank = offset[np.minimum(sum(exps.T), len(offset) - 1)]
@@ -219,11 +211,16 @@ def _row_index(basis, exps: np.ndarray) -> np.ndarray:
     return rank
 
 
-def vec_to_poly(v, p: int, n: int, basis) -> MultiPoly:
-    v = np.asarray(v) % p
-    terms = {basis[k]: int(v[k]) for k in np.flatnonzero(v)}
-    out = MultiPoly(p, n)
-    out.terms = terms
+def polys(rows, p: int, n: int, degrees: tuple) -> list[MultiPoly]:
+    """The polynomials with the coefficients of each row of the (k, C)
+    array `rows` on the C monomials of the given degrees, read with one
+    pass over its nonzeros."""
+    monomials = _basis(n, degrees).monomials
+    rows = np.reshape(rows, (len(rows), len(monomials))) % p
+    out = [MultiPoly(p, n) for _ in range(len(rows))]
+    ks, cs = rows.nonzero()
+    for k, c, v in zip(ks.tolist(), cs.tolist(), rows[ks, cs].tolist()):
+        out[k].terms[monomials[c]] = v
     return out
 
 
@@ -309,9 +306,9 @@ def _inverses(v: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref_kernel(m: np.ndarray, pivots: np.ndarray, p: int) -> list[np.ndarray]:
-    """The basis `nullspace` gives of a matrix, from its rref m and the
-    mask of its pivot columns (one member of `rref_stack`)."""
+def rref_kernel(m: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """The basis `nullspace` gives of a matrix, one vector per row, from
+    its rref m and the mask of its pivot columns (a `rref_stack` member)."""
     pcs, fcs = pivots.nonzero()[0], (~pivots).nonzero()[0]
     return _kernel_basis(~pivots, [(fcs, pcs, m[: len(pcs), fcs])], p)
 
@@ -457,12 +454,12 @@ def rank(a, p: int) -> int:
 def nullspace(a, p: int) -> list[np.ndarray]:
     """Basis of the right nullspace of a, a dense matrix or its nonzero
     `Entries`, one vector per free column: `nullspaces` with one piece."""
-    return next(nullspaces(a, p, [a.shape[1]]))
+    return list(next(nullspaces(a, p, [a.shape[1]])))
 
 
 def nullspaces(a, p: int, widths):
     """The `nullspace` of each piece of a's columns, of the given widths,
-    in turn, when no row of a meets two pieces.
+    in turn, as an array of rows, when no row of a meets two pieces.
 
     Every kernel vector is 0 on the columns `_peel` forces, and up to a
     permutation the core is block diagonal, so the pivot columns are the
@@ -483,15 +480,15 @@ def nullspaces(a, p: int, widths):
         start = end
 
 
-def _kernel_basis(free, solved, p: int) -> list[np.ndarray]:
-    """One vector per column of the mask `free`: 1 there, and minus its
+def _kernel_basis(free, solved, p: int) -> np.ndarray:
+    """One row per column of the mask `free`: 1 there, and minus its
     expression in the pivot columns, as `_eliminate` lists them."""
     free_cols = free.nonzero()[0]
     basis = np.zeros((len(free_cols), len(free)), dtype=np.int64)
     basis[np.arange(len(free_cols)), free_cols] = 1
     for fcs, pcs, coeffs in solved:
         basis[np.searchsorted(free_cols, fcs)[:, None], pcs] = -coeffs.T % p
-    return list(basis)
+    return basis
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .center import (
     CenterReport,
     bracket_matrices,
     center_oracle,
+    degree_widths,
     graded_kernel,
     graded_products,
     rank_over_subring,
@@ -46,7 +47,7 @@ from .fieldpoly import (
     monomials_upto_degree,
     squarefree,
 )
-from .linalg import derivation_matrix, vec_to_poly
+from .linalg import derivation_matrix
 from .structure import PoissonStructure
 
 
@@ -89,15 +90,15 @@ def log_ozone_derivation(struct: PoissonStructure, f: MultiPoly) -> Derivation:
 
 
 @lru_cache(maxsize=None)
-def _elementary_matrices(p: int, n: int, degrees: tuple) -> tuple[tuple, np.ndarray]:
-    """The monomials `src` of the given degrees, and the matrices on
-    span(src) of the n^2 derivations E_ab: x_a |-> x_b, in order a*n + b,
-    as one (n^2, |src|, |src|) array.  Cached, so read-only."""
-    src = tuple(e for d in degrees for e in monomials_of_degree(n, d))
+def _elementary_matrices(p: int, n: int, degrees: tuple) -> np.ndarray:
+    """The matrices on the monomials of the given degrees of the n^2
+    derivations E_ab: x_a |-> x_b, in order a*n + b, as one (n^2, C, C)
+    array.  Cached, so read-only."""
     units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
-    m = derivation_matrix([Derivation.from_matrix(p, u).images for u in units], src, src)
+    images = [Derivation.from_matrix(p, u).images for u in units]
+    m = derivation_matrix(images, n, degrees, degrees)
     m.flags.writeable = False
-    return src, m
+    return m
 
 
 def pder0_matrix_space(struct: PoissonStructure) -> np.ndarray:
@@ -111,12 +112,12 @@ def pder0_matrix_space(struct: PoissonStructure) -> np.ndarray:
     """
     p, n = struct.p, struct.n
     degrees = tuple(sorted({sum(e) for h in struct.table.values() for e in h.terms}))
-    src, elementary = _elementary_matrices(p, n, degrees)
-    # h[i, j] on src: column j of the matrix of ad_i on the linear forms
-    h = derivation_matrix([a.images for a in struct.ad], monomials_of_degree(n, 1), src)
+    elementary = _elementary_matrices(p, n, degrees)
+    # h[i, j] on those degrees: column j of the matrix of ad_i on the linear forms
+    h = derivation_matrix([a.images for a in struct.ad], n, (1,), degrees)
     h = h.transpose(0, 2, 1)
     i, j = np.triu_indices(n, 1)
-    system = np.einsum("kts,qs->qkt", elementary, h[i, j]).reshape(len(i), n, n, len(src))
+    system = np.einsum("kts,qs->qkt", elementary, h[i, j]).reshape(len(i), n, n, h.shape[2])
     system[np.arange(len(i)), i] -= h[:, j].swapaxes(0, 1)
     system[np.arange(len(i)), j] -= h[i]
     # one block of rows per pair, one row per monomial
@@ -187,7 +188,6 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     p, n = struct.p, struct.n
     k = len(pder0)
     limits.check("candidates", p**k, f"derivation candidates at degree {d}")
-    src = monomials_of_degree(n, d)
     brackets = bracket_matrices(struct, d)
     mults = linalg.multiplication_matrices(n, d)
     # candidate g is the coefficient vector _digits(g) of itertools.product
@@ -215,16 +215,15 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     for part in _chunks(len(survivors), brackets.shape):
         D = np.tensordot(_digits(survivors[part], p, k), pder0, 1) % p
         systems = brackets - np.tensordot(D, mults, 1)  # [b, i]: block i of D[b]
-        m, pivots = linalg.rref_stack(systems.reshape(len(D), -1, len(src)), p)
+        m, pivots = linalg.rref_stack(systems.reshape(len(D), -1, brackets.shape[2]), p)
         for b in (~pivots.all(axis=1)).nonzero()[0]:
             kernel = linalg.rref_kernel(m[b], pivots[b], p)
             elements += (p ** len(kernel) - 1) // (p - 1)
             limits.check("candidates", elements, f"normal elements at degree {d}")
             delta = Derivation.from_matrix(p, D[b])
-            kmat = np.stack(kernel)
-            for combo in iter_projective_vectors(p, len(kernel)):
-                f = vec_to_poly(np.array(combo) @ kmat % p, p, n, src).monic()
-                found.append((f, delta))
+            combos = np.array(list(iter_projective_vectors(p, len(kernel))), dtype=np.int64)
+            found.extend((f.monic(), delta)
+                         for f in linalg.polys(combos @ kernel % p, p, n, (d,)))
     return found
 
 
@@ -235,16 +234,16 @@ def enumerate_normal(
     log-ozone derivations, in a deterministic order.
 
     Graded structures are scanned degree by degree over homogeneous
-    candidates; otherwise the whole filtration (constant terms allowed)
-    is scanned.
+    candidates, once every degree's width has passed `degree_widths`;
+    otherwise the whole filtration (constant terms allowed) is scanned.
     """
     p = struct.p
     found: list[tuple[MultiPoly, Derivation]] = []
     if struct.graded:
+        widths = degree_widths(struct.n, dmax, limits)
         pder0 = pder0_matrix_space(struct)
         for d in range(1, dmax + 1):
-            n_monos = len(monomials_of_degree(struct.n, d))
-            direct_cost = (p**n_monos - 1) // (p - 1)
+            direct_cost = (p ** widths[d] - 1) // (p - 1)
             # costs in units of one direct test (13-70 us at p=5, n=3).  A
             # row value costs about one in stacks of about 100 (8-17 us)
             # and up to about two in stacks of 15-35 (35-110 us); it is
@@ -267,6 +266,7 @@ def enumerate_normal(
                         )
             found.extend(batch)
     else:
+        limits.check("columns", comb(dmax + struct.n, struct.n), "filtration columns")
         found.extend(_scan_direct(struct, dmax, False, limits))
     found.sort(key=lambda pair: pair[0].sort_key())
     return found

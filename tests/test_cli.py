@@ -199,6 +199,16 @@ class TestLoz:
         assert code == 2
         assert "cap is 5" in capsys.readouterr().err
 
+    def test_column_cap_before_the_search(self, capsys, tmp_path):
+        # every degree's width is checked before any is scanned: without
+        # the check degree 99 alone would build 624 MB of bracket matrices
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 5, "bracket": {"kind": "potential", "omega": "x1^3"},
+        }))
+        assert main(["loz", "--algebra", str(path), "--normal-degree", "300"]) == 2
+        assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
+
     def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
         # at degree 2 the search takes the eigenspace scan (pruned bound
         # 3*5^3 = 375 against 3906 projective quadrics), whose answers are
@@ -306,6 +316,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize("matrix", ["[[0,1.5,0],[-1.5,0,0],[0,0,0]]", "5"])
     def test_classify_matrix(self, capsys, matrix):
         assert_usage_error(capsys, ["classify-skew3", "--p", "5", "--matrix", matrix])
+
+    @pytest.mark.parametrize("command", ["center", "loz", "gorenstein"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8", "missing"])
+    def test_unreadable_algebra_file(self, capsys, tmp_path, command, kind):
+        path = tmp_path / "algebra.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b'{"p": 5, "vars": ["\xff"]}')
+        assert_usage_error(capsys, [command, "--algebra", str(path)])
 
     def test_duplicate_variable_names(self, capsys, tmp_path):
         # it used to load as {x1, x2} = x2^2, the last x winning

@@ -49,7 +49,6 @@ from poismodp.loz import (
     pder0_matrix_space,
     theorem212_check,
 )
-from poismodp.linalg import vec_to_poly
 from poismodp.structure import (
     SkewMatrix,
     explicit_structure,
@@ -95,12 +94,11 @@ def per_row_value_scan(s, d, pder0):
     per row value of each block, then one per surviving candidate."""
     p, n = s.p, s.n
     k = len(pder0)
-    src = monomials_of_degree(n, d)
     brackets = bracket_matrices(s, d)
     mults = linalg.multiplication_matrices(n, d)
 
     def block(b, rows):
-        return ((b - np.tensordot(rows, mults, 1)) % p).reshape(-1, len(src))
+        return ((b - np.tensordot(rows, mults, 1)) % p).reshape(-1, mults.shape[2])
 
     alive = np.ones(p**k, dtype=bool)
     for i in range(n):
@@ -118,7 +116,7 @@ def per_row_value_scan(s, d, pder0):
         if kernel:
             delta = Derivation.from_matrix(p, D)
             for combo in iter_projective_vectors(p, len(kernel)):
-                f = vec_to_poly(np.array(combo) @ np.stack(kernel) % p, p, n, src)
+                [f] = linalg.polys([np.array(combo) @ np.stack(kernel) % p], p, n, (d,))
                 found.append((f.monic(), delta))
     return found
 
@@ -227,8 +225,8 @@ def residual_pder0(s):
                         k = k - s.entry(i, b)
                     coeff_polys.append(k)
             residuals.append(coeff_polys)
-    monos = sorted({e for polys in residuals for k in polys for e in k.terms})
-    system = np.array([linalg.coeff_matrix(polys, monos) for polys in residuals],
+    degrees = tuple(sorted({sum(e) for polys in residuals for k in polys for e in k.terms}))
+    system = np.array([linalg.coeff_matrix(polys, n, degrees) for polys in residuals],
                       dtype=np.int64)
     return [v.reshape(n, n) for v in linalg.nullspace(system.reshape(-1, n * n), p)]
 
@@ -273,14 +271,19 @@ class TestPDer0Array:
         assert len(basis) == len(residual_pder0(s))
 
     def test_elementary_matrices_read_only(self):
-        src, m = _elementary_matrices(5, 3, (2,))
-        assert m.shape == (9, len(src), len(src))
+        m = _elementary_matrices(5, 3, (2,))
+        assert m.shape == (9, 6, 6)
         with pytest.raises(ValueError):
             m[0, 0, 0] = 1
-        assert _elementary_matrices(5, 3, (2,))[1] is m
+        assert _elementary_matrices(5, 3, (2,)) is m
 
 
 class TestPDer0:
+    def test_one_variable(self):
+        # no pair i < j, so no equation: every x1 |-> c x1 is one
+        s = explicit_structure(5, 1, {})
+        assert pder0_matrix_space(s).tolist() == [[[1]]]
+
     def test_matches_brute_force(self):
         # every matrix in the space is a Poisson derivation and the
         # space has exactly p^dim members, checked by full enumeration
@@ -322,6 +325,30 @@ class TestEnumerate:
             pairs = enumerate_normal(cube(p), dmax)
             assert all(d.is_zero() for _, d in pairs)
             assert {format_poly(f) for f, _ in pairs} == set(["x1", "x1^2", "x1^3"][:dmax])
+
+    def test_column_cap_before_any_degree(self, monkeypatch):
+        # degree 99 is the first of more than 5000 columns at n = 3; at
+        # degree 300 no degree is scanned before every width is checked
+        def refuse(*args):
+            raise AssertionError("degree scanned")
+
+        monkeypatch.setattr("poismodp.loz._scan_eigenspaces", refuse)
+        monkeypatch.setattr("poismodp.loz._scan_direct", refuse)
+        with pytest.raises(DegreeBoundTooLarge) as raised:
+            enumerate_normal(cube(5), 300)
+        assert str(raised.value) == "5050 columns at degree 99, cap is 5000"
+        with pytest.raises(DegreeBoundTooLarge) as raised:
+            enumerate_normal(cube(5), 2, Limits(columns=5))
+        assert str(raised.value) == "6 columns at degree 2, cap is 5"
+
+    def test_column_cap_on_the_filtration(self):
+        # {x1, x2} = x1^3 is not graded: the scan takes the 6 monomials of
+        # degree <= 2 at once
+        s = explicit_structure(5, 2, {(0, 1): parse_poly("x1^3", 5, 2)})
+        with pytest.raises(DegreeBoundTooLarge) as raised:
+            enumerate_normal(s, 2, Limits(columns=5))
+        assert str(raised.value) == "6 filtration columns, cap is 5"
+        assert len(enumerate_normal(s, 2, Limits(columns=6))) > 0
 
     def test_cube_row_filter_work(self, monkeypatch):
         # the scan eliminates its row values and survivors as stacks, so
@@ -679,7 +706,7 @@ class TestCLoz:
         center = center_oracle(s, p + 1)
         for d, basis in center.graded_basis.items():
             span = kernel.graded_basis[d]
-            both = linalg.coeff_matrix(span + basis, monomials_of_degree(s.n, d))
+            both = linalg.coeff_matrix(span + basis, s.n, (d,))
             assert linalg.rank(both, p) == len(span), d
 
 

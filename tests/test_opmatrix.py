@@ -1,7 +1,9 @@
 """The operator-matrix layer (`linalg.coeff_matrix`, `linalg.derivation_matrix`,
-`linalg.multiplication_matrices`) against the MultiPoly reference: every
-column equals the image of one monomial computed by `bracket_with_gen`,
-`apply_derivation` or a product."""
+`linalg.multiplication_matrices`, `linalg.polys`) against the MultiPoly
+reference: every column equals the image of one monomial computed by
+`bracket_with_gen`, `apply_derivation` or a product.  The layer names a
+basis by its number of variables and a tuple of degrees; the references
+list its monomials with `whole_pieces`."""
 
 import numpy as np
 import pytest
@@ -23,17 +25,25 @@ from poismodp.fieldpoly import (
     parse_poly,
 )
 from poismodp.linalg import (
+    _basis,
+    _index,
     _row_index,
     coeff_matrix,
     derivation_entries,
     derivation_matrix,
     multiplication_matrices,
     nullspace,
+    polys,
 )
 from poismodp.structure import SkewMatrix, explicit_structure, from_skew_matrix
 
 BOUNDED = settings(derandomize=True, max_examples=30, deadline=None)
 PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def whole_pieces(n, degrees):
+    """The monomials of a basis named by n and its degrees."""
+    return tuple(e for d in degrees for e in monomials_of_degree(n, d))
 
 
 def column_terms(m, k, basis) -> dict:
@@ -66,7 +76,7 @@ def skew_structures(draw):
 
 
 @st.composite
-def polys(draw, p, n, max_degree, max_terms=3):
+def polys_upto(draw, p, n, max_degree, max_terms=3):
     monos = monomials_upto_degree(n, max_degree)
     terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
                                  max_size=max_terms))
@@ -89,12 +99,13 @@ class TestDerivationMatrix:
     @given(st.data(), PRIMES, st.integers(0, 4))
     def test_nongraded_brackets(self, data, p, top):
         # any bracket on two variables satisfies the Jacobi identity
-        h = data.draw(polys(p, 2, 3))
+        h = data.draw(polys_upto(p, 2, 3))
         struct = explicit_structure(p, 2, {(0, 1): h})
-        src = monomials_upto_degree(2, top)
-        tgt = monomials_upto_degree(2, top + max((h.degree() or 0) - 1, 0))
+        top_tgt = top + max((h.degree() or 0) - 1, 0)
+        src, tgt = monomials_upto_degree(2, top), monomials_upto_degree(2, top_tgt)
         for i in range(2):
-            m = derivation_matrix([[struct.entry(i, j) for j in range(2)]], src, tgt)[0]
+            images = [[struct.entry(i, j) for j in range(2)]]
+            m = derivation_matrix(images, 2, tuple(range(top + 1)), tuple(range(top_tgt + 1)))[0]
             assert_columns(
                 m, src, tgt,
                 lambda e: struct.bracket_with_gen(i, MultiPoly.monomial(p, 2, e)),
@@ -103,10 +114,10 @@ class TestDerivationMatrix:
     @BOUNDED
     @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3))
     def test_random_derivations(self, data, p, n, top):
-        delta = Derivation(p, n, [data.draw(polys(p, n, 2)) for _ in range(n)])
+        delta = Derivation(p, n, [data.draw(polys_upto(p, n, 2)) for _ in range(n)])
         src = monomials_upto_degree(n, top)
         tgt = monomials_upto_degree(n, top + 1)
-        m = derivation_matrix([delta.images], src, tgt)[0]
+        m = derivation_matrix([delta.images], n, tuple(range(top + 1)), tuple(range(top + 2)))[0]
         assert_columns(
             m, src, tgt,
             lambda e: apply_derivation(delta, MultiPoly.monomial(p, n, e)),
@@ -159,8 +170,10 @@ def tuple_loop_matrix(images, src, tgt):
     return m
 
 
-def assert_matches_tuple_loop(images, src, tgt):
-    m, ref = derivation_matrix([images], src, tgt)[0], tuple_loop_matrix(images, src, tgt)
+def assert_matches_tuple_loop(images, n, src_degrees, tgt_degrees):
+    src, tgt = whole_pieces(n, src_degrees), whole_pieces(n, tgt_degrees)
+    m = derivation_matrix([images], n, src_degrees, tgt_degrees)[0]
+    ref = tuple_loop_matrix(images, src, tgt)
     assert m.shape == ref.shape
     for k, e in enumerate(src):
         assert np.array_equal(m[:, k], ref[:, k]), e
@@ -173,16 +186,15 @@ class TestDerivationArray:
     @BOUNDED
     @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
     def test_each_matrix_is_the_tuple_loop(self, data, p, n, top, k):
-        derivations = [[data.draw(polys(p, n, 3)) for _ in range(n)] for _ in range(k)]
+        derivations = [[data.draw(polys_upto(p, n, 3)) for _ in range(n)] for _ in range(k)]
         src, tgt = monomials_upto_degree(n, top), monomials_upto_degree(n, top + 2)
-        m = derivation_matrix(derivations, src, tgt)
+        m = derivation_matrix(derivations, n, tuple(range(top + 1)), tuple(range(top + 3)))
         assert m.shape == (k, len(tgt), len(src))
         for images, mk in zip(derivations, m):
             assert np.array_equal(mk, tuple_loop_matrix(images, src, tgt))
 
     def test_empty_list(self):
-        src, tgt = monomials_of_degree(3, 2), monomials_of_degree(3, 3)
-        assert derivation_matrix([], src, tgt).shape == (0, 10, 6)
+        assert derivation_matrix([], 3, (2,), (3,)).shape == (0, 10, 6)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_bracket_array_is_every_ad(self, p):
@@ -199,9 +211,10 @@ class TestDerivationEntries:
     `nullspace` of the dense stack."""
 
     @staticmethod
-    def assert_entries_of_stack(derivations, src, tgt, p):
-        stack = derivation_matrix(derivations, src, tgt).reshape(-1, len(src))
-        entries = derivation_entries(derivations, src, tgt)
+    def assert_entries_of_stack(derivations, n, src, tgt, p):
+        stack = derivation_matrix(derivations, n, src, tgt)
+        stack = stack.reshape(-1, stack.shape[2])
+        entries = derivation_entries(derivations, n, src, tgt)
         assert entries.shape == stack.shape
         rows, cols = stack.nonzero()
         assert entries.rows.tolist() == rows.tolist()
@@ -209,7 +222,7 @@ class TestDerivationEntries:
         assert entries.vals.tolist() == stack[rows, cols].tolist()
         dense = nullspace(stack, p)
         # rows numbered by the targets reached: the same row space
-        reached = derivation_entries(derivations, src)
+        reached = derivation_entries(derivations, n, src)
         for sparse in (nullspace(entries, p), nullspace(reached, p)):
             assert len(dense) == len(sparse)
             assert all(np.array_equal(v, w) for v, w in zip(dense, sparse))
@@ -217,9 +230,9 @@ class TestDerivationEntries:
     @BOUNDED
     @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
     def test_random_derivations(self, data, p, n, top, k):
-        derivations = [[data.draw(polys(p, n, 3)) for _ in range(n)] for _ in range(k)]
-        src, tgt = monomials_upto_degree(n, top), monomials_upto_degree(n, top + 2)
-        self.assert_entries_of_stack(derivations, src, tgt, p)
+        derivations = [[data.draw(polys_upto(p, n, 3)) for _ in range(n)] for _ in range(k)]
+        src, tgt = tuple(range(top + 1)), tuple(range(top + 3))
+        self.assert_entries_of_stack(derivations, n, src, tgt, p)
 
     def test_skew_4x4_stack(self):
         # the largest operators of the center jobs: every product of a
@@ -227,20 +240,17 @@ class TestDerivationEntries:
         c = SkewMatrix.from_rows(5, [[0, 4, 4, 2], [1, 0, 0, 4], [1, 0, 0, 3], [3, 1, 2, 0]])
         struct = from_skew_matrix(c)
         for d in (0, 5, 9):
-            src, tgt = monomials_of_degree(4, d), monomials_of_degree(4, d + 1)
-            self.assert_entries_of_stack([a.images for a in struct.ad], src, tgt, 5)
+            self.assert_entries_of_stack([a.images for a in struct.ad], 4, (d,), (d + 1,), 5)
 
     @pytest.mark.parametrize("form", potential_catalog(7), ids=lambda f: f.label)
     def test_catalog_stacks(self, form):
         # these fall apart into blocks of several columns
         struct = form.structure()
         for d in (2, 6, 11):
-            src, tgt = monomials_of_degree(3, d), monomials_of_degree(3, d + 1)
-            self.assert_entries_of_stack([a.images for a in struct.ad], src, tgt, 7)
+            self.assert_entries_of_stack([a.images for a in struct.ad], 3, (d,), (d + 1,), 7)
 
     def test_no_derivations(self):
-        src, tgt = monomials_of_degree(3, 2), monomials_of_degree(3, 3)
-        entries = derivation_entries([], src, tgt)
+        entries = derivation_entries([], 3, (2,), (3,))
         assert entries.shape == (0, 6) and len(entries.vals) == 0
         assert len(nullspace(entries, 5)) == 6
 
@@ -259,15 +269,13 @@ class TestDerivationMatrixVectorised:
     def test_graded(self, data, p, n, e, d):
         # images homogeneous of degree e map A_d into A_{d+e-1}
         images = [data.draw(homogeneous(p, n, e)) for _ in range(n)]
-        tgt = monomials_of_degree(n, max(d + e - 1, 0))
-        assert_matches_tuple_loop(images, monomials_of_degree(n, d), tgt)
+        assert_matches_tuple_loop(images, n, (d,), (max(d + e - 1, 0),))
 
     @BOUNDED
     @given(st.data(), PRIMES, st.integers(1, 3), st.integers(0, 4))
     def test_filtered(self, data, p, n, top):
-        images = [data.draw(polys(p, n, 3)) for _ in range(n)]
-        tgt = monomials_upto_degree(n, top + 2)
-        assert_matches_tuple_loop(images, monomials_upto_degree(n, top), tgt)
+        images = [data.draw(polys_upto(p, n, 3)) for _ in range(n)]
+        assert_matches_tuple_loop(images, n, tuple(range(top + 1)), tuple(range(top + 3)))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_many_variables(self, rng, d):
@@ -281,16 +289,11 @@ class TestDerivationMatrixVectorised:
             return MultiPoly(p, n, {e: rng.randrange(1, p)} if rng.random() < 0.8 else {})
 
         images = [quadratic() for _ in range(n)]
-        src, tgt = monomials_of_degree(n, d), monomials_of_degree(n, d + 1)
-        assert_matches_tuple_loop(images, src, tgt)
-
-
-def whole_pieces(n, degrees):
-    return tuple(e for d in degrees for e in monomials_of_degree(n, d))
+        assert_matches_tuple_loop(images, n, (d,), (d + 1,))
 
 
 class TestRowIndex:
-    """`_row_index` finds a monomial in a basis of whole degree pieces by
+    """`_row_index` finds a monomial in the basis of a tuple of degrees by
     its degree's offset and its rank in the piece: the same positions as
     a dict over the basis."""
 
@@ -302,35 +305,35 @@ class TestRowIndex:
         # every monomial, some twice, in a random order
         wanted = rng.sample(basis, len(basis)) + rng.choices(basis, k=len(basis))
         exps = np.array(wanted, dtype=np.int64).reshape(-1, n)
-        assert _row_index(basis, exps).tolist() == [index[e] for e in wanted]
-        assert _row_index(basis, exps[:0]).tolist() == []
+        assert _row_index(_basis(n, degrees), exps).tolist() == [index[e] for e in wanted]
+        assert _row_index(_basis(n, degrees), exps[:0]).tolist() == []
+        assert _basis(n, degrees).monomials == basis
+        assert _index(n, degrees) == index
 
     @pytest.mark.parametrize("n", [100, 130])
     def test_many_variables(self, n):
         # C(n + 1, 2) = 8515 monomials of degree 2 at n = 130; a table of
         # all binomials up to n, or a mixed-radix key, would pass 2^63
-        basis = whole_pieces(n, (1, 2))
-        exps = np.array(basis, dtype=np.int64)
-        assert _row_index(basis, exps[::-1]).tolist() == list(range(len(basis)))[::-1]
+        exps = np.array(whole_pieces(n, (1, 2)), dtype=np.int64)
+        rows = _row_index(_basis(n, (1, 2)), exps[::-1]).tolist()
+        assert rows == list(range(len(exps)))[::-1]
 
     @pytest.mark.parametrize("row", [(-1, 3, 0), (3, -1, 0), (1, 1, 1), (0, 0, 0), (2, 2, 3)],
                              ids=["negative", "negative-degree-2", "gap", "missing-0",
                                   "above-top"])
     def test_missing_rows_raise(self, row):
-        basis = whole_pieces(3, (2, 4))
         exps = np.array([(2, 0, 0), row, (0, 0, 4)], dtype=np.int64)
         with pytest.raises(KeyError) as raised:
-            _row_index(basis, exps)
+            _row_index(_basis(3, (2, 4)), exps)
         assert raised.value.args == (row,)
 
-    @pytest.mark.parametrize("basis", [
-        monomials_of_degree(3, 2)[1:],
-        monomials_of_degree(3, 2)[::-1],
-        monomials_of_degree(3, 1) + monomials_of_degree(3, 1),
-    ], ids=["partial", "reordered", "repeated"])
-    def test_other_bases_rejected(self, basis):
-        with pytest.raises(ValueError, match="whole degree pieces"):
-            _row_index(basis, np.zeros((0, 3), dtype=np.int64))
+    def test_basis_cached_and_read_only(self):
+        # every caller of one degree tuple shares its description
+        basis = _basis(3, (1, 3))
+        assert _basis(3, (1, 3)) is basis
+        for array in (basis.exps, basis.offset):
+            with pytest.raises(ValueError):
+                array[0] = 7
 
     def test_reached_rows_on_many_variables(self, rng):
         # with targets the rows are found by rank; without, the rows are
@@ -339,10 +342,9 @@ class TestRowIndex:
         images = [MultiPoly(p, n, {tuple(int(i in (a, b)) + int(i == a == b) for i in range(n)):
                                    rng.randrange(1, p)})
                   for a, b in ((rng.randrange(n), rng.randrange(n)) for _ in range(n))]
-        src, tgt = monomials_of_degree(n, 1), monomials_of_degree(n, 2)
-        assert_matches_tuple_loop(images, src, tgt)
-        reached = derivation_entries([images], src)
-        listed = derivation_entries([images], src, tgt)
+        assert_matches_tuple_loop(images, n, (1,), (2,))
+        reached = derivation_entries([images], n, (1,))
+        listed = derivation_entries([images], n, (1,), (2,))
         assert len(reached.vals) == len(listed.vals) > 0
         kernels = nullspace(reached, p), nullspace(listed, p)
         assert [v.tolist() for v in kernels[0]] == [v.tolist() for v in kernels[1]]
@@ -351,12 +353,35 @@ class TestRowIndex:
 class TestCoeffMatrix:
     def test_columns(self):
         p = 5
-        basis = monomials_of_degree(2, 1)
-        m = coeff_matrix([parse_poly("x1 + 2*x2", p, 2), parse_poly("4*x2", p, 2)], basis)
+        m = coeff_matrix([parse_poly("x1 + 2*x2", p, 2), parse_poly("4*x2", p, 2)], 2, (1,))
         assert m.tolist() == [[1, 0], [2, 4]]
 
     def test_empty(self):
-        assert coeff_matrix([], monomials_of_degree(3, 2)).shape == (6, 0)
+        assert coeff_matrix([], 3, (2,)).shape == (6, 0)
+
+
+class TestPolys:
+    """`polys` reads back, row by row, the columns `coeff_matrix` writes,
+    on the basis of any tuple of degrees, zero rows included."""
+
+    @BOUNDED
+    @given(st.data(), PRIMES, st.integers(1, 5),
+           st.sampled_from([(0,), (3,), (0, 2, 5), (1, 2, 3), (4, 1)]), st.integers(0, 4))
+    def test_inverts_coeff_matrix(self, data, p, n, degrees, k):
+        monos = whole_pieces(n, degrees)
+        terms = st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1), max_size=4)
+        fs = [MultiPoly(p, n, data.draw(terms)) for _ in range(k)]
+        fs.insert(data.draw(st.integers(0, k)), MultiPoly.zero(p, n))
+        m = coeff_matrix(fs, n, degrees)
+        assert m.shape == (len(monos), len(fs))
+        for rows in (m.T, list(m.T)):
+            assert [f.terms for f in polys(rows, p, n, degrees)] == [f.terms for f in fs]
+        # entries are read mod p
+        assert [f.terms for f in polys(-m.T, p, n, degrees)] == [(-f).terms for f in fs]
+
+    def test_no_rows(self):
+        assert polys(np.zeros((0, 10), dtype=np.int64), 5, 3, (3,)) == []
+        assert polys([], 5, 3, (3,)) == []
 
 
 class TestNoDegreeCap:
@@ -369,7 +394,6 @@ class TestNoDegreeCap:
 
     def test_source_above_degree_64(self):
         # the Euler derivation multiplies x^e by its degree 65 = 2 mod 3
-        basis = monomials_of_degree(2, 65)
         x1, x2 = MultiPoly.gens(3, 2)
-        m = derivation_matrix([[x1, x2]], basis, basis)[0]
-        assert (m == 2 * np.eye(len(basis), dtype=np.int64)).all()
+        m = derivation_matrix([[x1, x2]], 2, (65,), (65,))[0]
+        assert (m == 2 * np.eye(66, dtype=np.int64)).all()
