@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterator, Optional
 
 from .errors import (
@@ -292,7 +293,7 @@ def poly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     terms: dict[tuple[int, ...], int] = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             v = (terms.get(e, 0) + c1 * c2) % p
             if v:
                 terms[e] = v
@@ -327,13 +328,13 @@ def poly_divmod(g: MultiPoly, f: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         e = max(work)
         c = work.pop(e)
         if _exp_divides(lead_e, e):
-            qe = tuple(a - b for a, b in zip(e, lead_e))
+            qe = tuple(map(sub, e, lead_e))
             qc = (c * lead_inv) % p
             quo[qe] = (quo.get(qe, 0) + qc) % p
             for fe, fc in f.terms.items():
                 if fe == lead_e:
                     continue
-                te = tuple(a + b for a, b in zip(qe, fe))
+                te = tuple(map(add, qe, fe))
                 v = (work.get(te, 0) - qc * fc) % p
                 if v:
                     work[te] = v

@@ -380,15 +380,19 @@ def _peel(a: Entries) -> tuple[np.ndarray, Entries]:
     until none has.  Returns the mask of the forced columns and the
     remaining entries (the core).
 
-    The first round counts the entries of every row.  The entries it
-    leaves are grouped by column once, and every row keeps the count and
-    the column sum of its live entries, so a row with one names its
-    column; a later round reads only the entries of the columns it
-    forces, and takes the next singletons from the rows it touched.  So
-    the peel is linear in the entries, however many rounds it takes."""
+    The first round counts the entries of every row; most small kernels
+    end there, with no row of one entry, or after counting the entries
+    it leaves once more.  If that leaves a row with one, those entries
+    are grouped by column once, and every row keeps the count and the
+    column sum of its live entries, so a row with one names its column;
+    each later round reads only the entries of the columns it forces,
+    and takes the next singletons from the rows it touched.  So the peel
+    is linear in the entries, however many rounds it takes."""
     forced = np.zeros(a.shape[1], dtype=bool)
-    count = np.bincount(a.rows, minlength=a.shape[0])
-    forced[a.cols[count[a.rows] == 1]] = True
+    first = (np.bincount(a.rows, minlength=a.shape[0])[a.rows] == 1).nonzero()[0]
+    if not len(first):
+        return forced, a
+    forced[a.cols[first]] = True
     live = ~forced[a.cols]
     rows, cols = a.rows[live], a.cols[live]
     count = np.bincount(rows, minlength=a.shape[0])
@@ -396,28 +400,31 @@ def _peel(a: Entries) -> tuple[np.ndarray, Entries]:
     if len(single):
         # a row's column sum is below 2^53, so exact in float64
         colsum = np.bincount(rows, weights=cols, minlength=a.shape[0]).astype(np.int64)
-        # a radix sort when the columns fit in 16 bits
-        by_col = rows[cols.astype(np.min_scalar_type(a.shape[1])).argsort(kind="stable")]
+        # the live entries grouped by column: a radix sort when the
+        # columns fit in 16 bits
+        order = cols.astype(np.min_scalar_type(a.shape[1])).argsort(kind="stable")
+        by_col, col_of = rows[order], cols[order]
         width = np.bincount(cols, minlength=a.shape[1])
         ends = width.cumsum()
         owner = np.empty(a.shape[1], dtype=np.int64)
-    while len(single):
-        # the columns the singletons name, each once: the one position
-        # whose write of a column lands keeps it
-        cs = colsum[single]
-        at = np.arange(len(cs))
-        owner[cs] = at
-        cs = cs[owner[cs] == at]
-        forced[cs] = True
-        lengths = width[cs]
-        total = lengths.cumsum()
-        # the rows of the entries of each c in cs, at ends[c] - width[c] .. ends[c]
-        touched = by_col[np.arange(total[-1]) + np.repeat(ends[cs] - total, lengths)]
-        np.subtract.at(count, touched, 1)
-        np.subtract.at(colsum, touched, np.repeat(cs, lengths))
-        single = touched[count[touched] == 1]  # a row touched twice may come twice
-    keep = ~forced[a.cols]
-    return forced, Entries(a.shape, a.rows[keep], a.cols[keep], a.vals[keep])
+        while len(single):
+            # the columns the singletons name, each once: the one position
+            # whose write of a column lands keeps it
+            cs = colsum[single]
+            at = np.arange(len(cs))
+            owner[cs] = at
+            cs = cs[owner[cs] == at]
+            forced[cs] = True
+            lengths = width[cs]
+            total = lengths.cumsum()
+            # the entries of each c in cs, at ends[c] - width[c] .. ends[c]
+            pos = np.arange(total[-1]) + np.repeat(ends[cs] - total, lengths)
+            touched = by_col[pos]
+            np.subtract.at(count, touched, 1)
+            np.subtract.at(colsum, touched, col_of[pos])
+            single = touched[count[touched] == 1]  # a row touched twice may come twice
+        live = ~forced[a.cols]
+    return forced, Entries(a.shape, a.rows[live], a.cols[live], a.vals[live])
 
 
 def _eliminate(a, p: int):

@@ -180,35 +180,46 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     Block i of the system depends only on row i of delta's matrix, so it
     is eliminated once per row value; a row value whose block has a
     pivot in every column rules delta out, and only the remaining
-    candidates get the full system.  Matrices of one shape are
-    eliminated together, up to `_STACK_ENTRIES` entries at a time.  The
-    monic elements of the survivors' kernels count against the candidate
-    limit before any is built.
+    candidates get the full system.  The blocks of all n rows have one
+    shape, so all rows' values are eliminated as one stack, and the
+    survivors' systems as another, each up to `_STACK_ENTRIES` entries
+    at a time.  The monic elements of the survivors' kernels count
+    against the candidate limit before any is built.
     """
     p, n = struct.p, struct.n
     k = len(pder0)
     limits.check("candidates", p**k, f"derivation candidates at degree {d}")
     brackets = bracket_matrices(struct, d)
     mults = linalg.multiplication_matrices(n, d)
+    # a row value v is v[cols] @ reduced, so v[cols] read in base p is its
+    # index in its row's span; the spans of rows 0..n-1 follow each other
+    # in `values`, row i's from starts[i] on
+    rows = pder0.transpose(1, 0, 2)  # rows[i]: row i of every basis derivation
+    reduced = [linalg.rref(r, p) for r in rows]
+    values = np.concatenate([linalg.span(m[: len(cols)], p) for m, cols in reduced])
+    starts = np.cumsum([0] + [p ** len(cols) for _, cols in reduced])
+    dead = np.zeros(len(values), dtype=bool)
+    for part in _chunks(len(values), brackets.shape[1:]):
+        # minus the multiplication by each value's linear form, and each
+        # row's bracket block added into its values' slice, in place
+        blocks = np.tensordot(values[part], mults, 1)
+        np.negative(blocks, out=blocks)
+        for i in range(n):
+            lo, hi = max(starts[i], part.start), min(starts[i + 1], part.stop)
+            if lo < hi:
+                blocks[lo - part.start : hi - part.start] += brackets[i]
+        dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
     # candidate g is the coefficient vector _digits(g) of itertools.product
     # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
-    # row codes (< p^rank <= p^k) are far below 2^63
+    # row codes (< p^rank <= p^k) are far below 2^63.  Each alive
+    # candidate's code is read off its digits, a chunk at a time
     alive = np.ones(p**k, dtype=bool)
-    for i in range(n):
-        rows = pder0[:, i, :]  # row i of every basis derivation
-        reduced, cols = linalg.rref(rows, p)
-        # a row value v is v[cols] @ reduced, so v[cols] read in base p is
-        # its index in the span below; each alive candidate's code is read
-        # off its digits, a chunk at a time
-        values = linalg.span(reduced[: len(cols)], p)
-        dead = np.zeros(len(values), dtype=bool)
-        for part in _chunks(len(values), brackets[i].shape):
-            blocks = brackets[i] - np.tensordot(values[part], mults, 1)
-            dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
+    for i, (_, cols) in enumerate(reduced):
         weights = p ** np.arange(len(cols) - 1, -1, -1)
+        row_dead = dead[starts[i] : starts[i + 1]]
         for start in range(0, p**k, _FILTER_CANDIDATES):
             g = start + np.flatnonzero(alive[start : start + _FILTER_CANDIDATES])
-            alive[g] = ~dead[_digits(g, p, k) @ rows[:, cols] % p @ weights]
+            alive[g] = ~row_dead[_digits(g, p, k) @ rows[i][:, cols] % p @ weights]
     found = []
     elements = 0
     survivors = np.flatnonzero(alive)
@@ -244,14 +255,15 @@ def enumerate_normal(
         pder0 = pder0_matrix_space(struct)
         for d in range(1, dmax + 1):
             direct_cost = (p ** widths[d] - 1) // (p - 1)
-            # costs in units of one direct test (13-70 us at p=5, n=3).  A
-            # row value costs about one in stacks of about 100 (8-17 us)
-            # and up to about two in stacks of 15-35 (35-110 us); it is
-            # counted as one, since stacks that small mean at most n * 35
-            # row values, which can only tip the choice where the direct
-            # scan is a few hundred tests at most.  The pass over the p^k
-            # candidates costs 0.3 us per candidate (k=9), so one direct
-            # test per 100 candidates.
+            # costs in units of one direct test (24-54 us at p=5, n=3).  A
+            # row value costs about a third of one in a degree's stack of
+            # 135-255 (7-17 us) and up to about one and a half in stacks
+            # of 15-55 (12-63 us); it is counted as one, since stacks that
+            # small mean at most 55 row values, which can only tip the
+            # choice where the direct scan is a few hundred tests at most.
+            # The pass over the p^k candidates costs 0.18 us per
+            # candidate (k=9), one direct test per 150-300 candidates; it
+            # is counted as one per 100.
             eig_cost = struct.n * p ** min(len(pder0), struct.n) + p**len(pder0) // 100
             if direct_cost <= eig_cost or p ** len(pder0) > limits.candidates:
                 batch = _scan_direct(struct, d, True, limits)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismodp.deriv import (
     Derivation,
@@ -27,6 +29,22 @@ from conftest import random_poly
 
 def jordan_plane(p):
     return explicit_structure(p, 2, {(0, 1): parse_poly("x1^2", p, 2)})
+
+
+@st.composite
+def polys(draw, p, n):
+    """Up to 6 terms with exponents up to 2p and coefficients in [0, p):
+    zero, constant and non-homogeneous polynomials among them."""
+    exps = st.tuples(*[st.integers(0, 2 * p)] * n)
+    return MultiPoly(p, n, draw(st.dictionaries(exps, st.integers(0, p - 1), max_size=6)))
+
+
+def leibniz_reference(d, f):
+    """sum_j (df/dx_j) d(x_j), built from `partial`, `*` and `+`."""
+    out = MultiPoly.zero(d.p, d.n)
+    for j, g in enumerate(d.images):
+        out = out + f.partial(j) * g
+    return out
 
 
 class TestApply:
@@ -60,6 +78,27 @@ class TestApply:
             assert apply_derivation(d, f * g) == apply_derivation(
                 d, f
             ) * g + f * apply_derivation(d, g)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_against_partials(self, data):
+        # exponents up to 2p reach e_j = p and 2p, whose partials vanish;
+        # coefficients 0 leave some images zero, and exponents of mixed
+        # degree make images and inputs non-homogeneous.  The Hamiltonian
+        # derivation of f in x1, x2 kills f: its products cancel to 0
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 4))
+        f = data.draw(polys(p, n))
+        hamiltonian = n > 1 and data.draw(st.booleans())
+        if hamiltonian:
+            images = [f.partial(1), -f.partial(0)] + [MultiPoly.zero(p, n)] * (n - 2)
+        else:
+            images = [data.draw(polys(p, n)) for _ in range(n)]
+        d = Derivation(p, n, images)
+        out = apply_derivation(d, f)
+        assert out == leibniz_reference(d, f)
+        assert all(0 < c < p for c in out.terms.values())
+        assert out.is_zero or not hamiltonian
 
     def test_arity_mismatch(self):
         d = Derivation.zero(5, 2)

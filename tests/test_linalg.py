@@ -350,6 +350,24 @@ class TestPeel:
         assert core.rows.tolist() == [3, 3, 4, 4, 5, 5]
         assert core.cols.tolist() == [0, 3, 0, 3, 0, 3]
 
+    def test_row_touched_twice(self):
+        # row 0 forces column 0, which leaves rows 1 and 2 naming columns
+        # 1 and 2; forcing both in one round touches row 3 twice, so it
+        # comes twice as a singleton naming column 3, which must be
+        # forced once: twice would take row 4 down to one entry
+        a = np.array([[1, 0, 0, 0, 0, 0],
+                      [1, 1, 0, 0, 0, 0],
+                      [1, 0, 1, 0, 0, 0],
+                      [0, 1, 1, 1, 0, 0],
+                      [0, 0, 0, 1, 1, 1],
+                      [0, 0, 0, 0, 1, 1]], dtype=np.int64)
+        entries = linalg._entries(a, 5)
+        forced, core = linalg._peel(entries)
+        assert forced.tolist() == [True, True, True, True, False, False]
+        assert core.rows.tolist() == [4, 4, 5, 5]
+        assert core.cols.tolist() == [4, 5, 4, 5]
+        assert forced.tolist() == peel_by_rounds(entries)[0].tolist()
+
     def test_long_chain_is_linear(self, monkeypatch):
         # one column per round: counting the live entries of every row
         # in each of the 3000 rounds would read about 9 * 10^6 of them

@@ -154,8 +154,11 @@ class TestEigenspaceStacks:
                     == keys(per_row_value_scan(s, d, pder0))), d
 
     # a budget of 1 entry makes chunks of one matrix; 900 makes chunks of
-    # two 45 x 10 survivor systems at degree 3
-    @pytest.mark.parametrize("budget", [1, 900])
+    # two 45 x 10 survivor systems at degree 3; 1050 makes row-filter
+    # chunks of seven 15 x 10 blocks there, so that the first of skew
+    # (2, 2, 0), whose rows span 5, 25 and 25 values, holds values of
+    # rows 0 and 1
+    @pytest.mark.parametrize("budget", [1, 900, 1050])
     def test_chunk_size_leaves_the_answer(self, monkeypatch, budget):
         structures = [cube(5), from_potential(parse_poly("2*x1*x2*x3", 5, 3)),
                       skew3(5, (2, 2, 0))]
@@ -352,9 +355,11 @@ class TestEnumerate:
 
     def test_cube_row_filter_work(self, monkeypatch):
         # the scan eliminates its row values and survivors as stacks, so
-        # the only kernel is pder0_matrix_space's; the row filter leaves
-        # 512 matrices to eliminate, where an unpruned scan would send
-        # every one of the 5^6 candidates through the survivor stack
+        # the only kernel is pder0_matrix_space's; each of the degrees 2
+        # and 3 it scans takes one stack of all three rows' 255 values and
+        # one of the survivors, 512 matrices in all, where an unpruned
+        # scan would send every one of the 5^6 candidates through the
+        # survivor stack
         calls, matrices = [], []
         nullspace, rref_stack = linalg.nullspace, linalg.rref_stack
         monkeypatch.setattr(
@@ -366,7 +371,7 @@ class TestEnumerate:
         )
         assert len(enumerate_normal(cube(5), 3)) == 3
         assert len(calls) == 1
-        assert sum(matrices) <= 600
+        assert matrices == [255, 1, 255, 1]
 
     def test_paths_agree(self):
         # degree 3 at p=5 means 2.4M direct candidates; cross-validate the
