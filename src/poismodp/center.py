@@ -317,22 +317,22 @@ def degree_widths(n: int, max_degree: int, limits: Limits) -> list[int]:
 
 
 def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
-    """Hilbert function and graded basis of the joint kernel of the
-    derivations x_j |-> images[j], one per image list in `derivations`,
-    degree by degree up to max_degree.  Their images are homogeneous of
-    one degree h, so each maps A_d into A_{d+h-1}; with no nonzero image,
-    the kernel is all of A_d.  Every degree's width is checked first.
+    """The joint kernel of the derivations x_j |-> images[j], one per
+    image list in `derivations`, degree by degree up to max_degree:
+    yields (d, kernel), the kernel's basis as the rows of an array on the
+    monomials of degree d, as each elimination finishes.  Their images
+    are homogeneous of one degree h, so each maps A_d into A_{d+h-1};
+    with no nonzero image, the kernel is all of A_d.  Every degree's
+    width is checked before the first elimination.
 
     Consecutive degrees of at most `_GROUP_COLUMNS` columns in all (or a
     single degree) are eliminated as one matrix, from the basis of those
     degrees into that of their targets.  No row meets two degrees, so
     `linalg.nullspaces` gives each degree the kernel of its own
-    elimination, and `linalg.polys` reads it back on that degree."""
+    elimination."""
     h = max((g.degree() for images in derivations for g in images if not g.is_zero),
             default=1)
     widths = degree_widths(n, max_degree, limits)
-    hilbert = []
-    graded_basis: dict[int, list[MultiPoly]] = {}
     columns = np.cumsum([0] + widths)  # the columns before each degree
     lo = 0
     while lo <= max_degree:
@@ -340,11 +340,19 @@ def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
         hi = max(lo + 1, int(columns.searchsorted(columns[lo] + _GROUP_COLUMNS, "right")) - 1)
         # constant images (h = 0) map A_0 to nothing
         src, tgt = tuple(range(lo, hi)), tuple(range(max(lo + h - 1, 0), hi + h - 1))
-        kernels = linalg.nullspaces(derivation_entries(derivations, n, src, tgt), p, widths[lo:hi])
-        for d, kernel in zip(src, kernels):
-            graded_basis[d] = linalg.polys(kernel, p, n, (d,))
-            hilbert.append(len(kernel))
+        yield from zip(src, linalg.nullspaces(derivation_entries(derivations, n, src, tgt), p,
+                                              widths[lo:hi]))
         lo = hi
+
+
+def graded_kernel_basis(p: int, n: int, max_degree: int, derivations, limits: Limits):
+    """The Hilbert function and graded basis of `graded_kernel`: each
+    degree's kernel is read back as polynomials as it arrives."""
+    hilbert = []
+    graded_basis: dict[int, list[MultiPoly]] = {}
+    for d, kernel in graded_kernel(p, n, max_degree, derivations, limits):
+        hilbert.append(len(kernel))
+        graded_basis[d] = linalg.polys(kernel, p, n, (d,))
     return hilbert, graded_basis
 
 
@@ -362,7 +370,7 @@ def center_oracle(
         return _center_oracle_filtered(struct, max_degree, limits)
     p, n = struct.p, struct.n
     images = [a.images for a in struct.ad]
-    hilbert, graded_basis = graded_kernel(p, n, max_degree, images, limits)
+    hilbert, graded_basis = graded_kernel_basis(p, n, max_degree, images, limits)
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
         engine="oracle",

@@ -21,19 +21,23 @@ benchmark's center_oracle jobs the 66 eliminations peel 40 631 of
 columns in all, so no dense stack is ever built.
 
 Many small matrices of one shape are eliminated the other way, as one
-(B, R, C) stack in `rref_stack`, vectorised over B; `rref_kernel` reads
-each member's kernel with `nullspace`'s own step.  `rref` itself stays a
-loop over one matrix: routed through `rref_stack`, the 526 `rref` calls
-of that center_oracle pass took about five times as long.
+(B, R, C) stack in `rref_stack`, in place and vectorised over B;
+`rref_kernel` reads each member's kernel with `nullspace`'s own step.
+`rref` itself stays a loop over one matrix, over the columns with a
+nonzero entry only: routed through `rref_stack`, the 526 `rref` calls
+of that center_oracle pass took about five times as long, and of their
+26 656 columns only 5065 are nonzero.
 
 Polynomials and matrices on a monomial basis meet only here.  A basis
 is named by n and a tuple of distinct degrees, the monomials of each
 degree in `monomials_of_degree` order, and `_basis` describes each once.
 `coeff_matrix` fills a whole array from polynomial terms, looked up in a
 dict; `derivation_entries` lists the nonzero entries of the operators
-of derivations and `derivation_matrix` writes them into a dense array;
-`multiplication_matrices` fills arrays from exponents alone, found by
-`_row_index`'s arithmetic; and `polys` reads the rows of an array back.
+of derivations, one cell per source and group of image terms with a
+common shift, and `derivation_matrix` writes them into a dense array;
+`multiplication_matrices` fills arrays from exponents alone.  Both find
+a monomial's row by `_rank`'s arithmetic on the suffix sums of its
+exponents, and `polys` reads the rows of an array back.
 """
 
 from __future__ import annotations
@@ -79,39 +83,52 @@ def derivation_entries(derivations, n: int, src: tuple, tgt: tuple | None = None
     that no basis of unreached targets is ever listed.
 
     delta(x^e) = sum_j e_j x^(e - eps_j) images[j] is summed from the
-    products e_j c x^(e - eps_j + f), for c x^f a term of images[j].  The
-    sources are one int64 exponent array; all image terms of all
-    derivations are taken at once: each shifts the sources with
-    e_j != 0 mod p, and one lookup finds all target rows.
+    products e_j c x^(e - eps_j + f), for c x^f a term of images[j].
+    Terms of one derivation with the same shift f - eps_j reach the same
+    target from every source, so the few image terms are grouped by
+    (derivation, shift) once, and one integer `reduceat` over the
+    sources' exponents gives every (source, group) cell.  A nonzero cell
+    has e_j >= 1 for one of its terms, so its target is a monomial, and
+    `_rank` finds its row from the `_suffixes` of the source plus those
+    of the shift.
     """
     exps = _basis(n, src).exps
-    terms = [(k, j, e, c) for k, images in enumerate(derivations)
-             for j, g in enumerate(images) for e, c in g.terms.items()]
+    # every image term as the row (k, f - eps_j, j, c), sorted: the terms
+    # of a group are adjacent, at most one for each j
+    terms = sorted((k,) + e[:j] + (e[j] - 1,) + e[j + 1:] + (j, c)
+                   for k, images in enumerate(derivations)
+                   for j, g in enumerate(images) for e, c in g.terms.items())
     if not terms:
         shape = (len(derivations) * (len(_basis(n, tgt).exps) if tgt else 0), len(exps))
         return Entries(shape, *np.zeros((3, 0), dtype=np.int64))
     p = derivations[0][0].p
-    ks, js, shifts, coeffs = (np.array(a, dtype=np.int64) for a in zip(*terms))
-    shifts[np.arange(len(js)), js] -= 1
-    powers = exps[:, js] % p  # e_j of every source, one column per term
-    s, t = powers.nonzero()
-    if tgt is None:
-        reached, rows = np.unique(exps[s] + shifts[t], axis=0, return_inverse=True)
-        rows, height = rows.reshape(-1), len(reached)
-    else:
-        tgt = _basis(n, tgt)
-        rows, height = _row_index(tgt, exps[s] + shifts[t]), len(tgt.exps)
-    flat = (ks[t] * height + rows) * len(exps) + s
-    order = flat.argsort()
-    flat = flat[order]
-    first = np.ones(len(flat), dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
-    first = first.nonzero()[0]
+    # the first term of each group
+    starts = [0] + [i for i in range(1, len(terms)) if terms[i][: n + 1] != terms[i - 1][: n + 1]]
+    terms = np.array(terms, dtype=np.int64)
+    js, coeffs = terms[:, n + 1], terms[:, n + 2]
+    ks, shifts = terms[starts, 0], terms[starts, 1 : n + 1]
+    powers = exps.take(js, 1) % p  # e_j of every source, one column per term
     # each cell sums at most n products below p^2: exact in int64
-    sums = np.add.reduceat((powers[s, t] * coeffs[t])[order], first) % p
-    keep = sums.nonzero()[0]
+    sums = (np.add.reduceat(powers * coeffs, starts, axis=1) % p).ravel()
+    if tgt is None:
+        # every target some product reaches is a row, even if its sum is 0
+        cells = np.logical_or.reduceat(powers != 0, starts, axis=1).ravel().nonzero()[0]
+        s, g = np.divmod(cells, len(starts))
+        reached, rows = np.unique(exps[s] + shifts[g], axis=0, return_inverse=True)
+        keep = sums[cells].nonzero()[0]
+        cells, s, g, rows = cells[keep], s[keep], g[keep], rows.reshape(-1)[keep]
+        height = len(reached)
+    else:
+        # the flat nonzeros of a boolean mask: see `_entries`
+        cells = (sums != 0).nonzero()[0]
+        s, g = np.divmod(cells, len(starts))
+        tgt = _basis(n, tgt)
+        rows = _rank(tgt, _suffixes(exps).take(s, 0) + _suffixes(shifts).take(g, 0))
+        height = len(tgt.exps)
+    flat = (ks * (height * len(exps))).take(g) + rows * len(exps) + s
+    order = flat.argsort()  # the keys are distinct: one cell each
     shape = (len(derivations) * height, len(exps))
-    return Entries(shape, *np.divmod(flat[first[keep]], len(exps)), sums[keep])
+    return Entries(shape, *np.divmod(flat[order], len(exps)), sums.take(cells[order]))
 
 
 def derivation_matrix(derivations, n: int, src: tuple, tgt: tuple) -> np.ndarray:
@@ -178,36 +195,49 @@ def _index(n: int, degrees: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def _rank_table(n: int, top: int) -> np.ndarray:
-    """t[s, k] = C(s + k, k + 1), the monomials of degree below s in
-    k + 1 variables, for s <= top and k < n - 1.  Cached, so read-only."""
-    table = np.array([[comb(s + k, k + 1) for k in range(n - 1)] for s in range(top + 1)],
-                     dtype=np.int64).reshape(top + 1, n - 1)
+    """t[k, s] = C(s + k, k + 1), the monomials of degree below s in
+    k + 1 variables, for k < n - 1 and s <= top.  Cached, so read-only."""
+    table = np.array([[comb(s + k, k + 1) for s in range(top + 1)] for k in range(n - 1)],
+                     dtype=np.int64).reshape(n - 1, top + 1)
     table.flags.writeable = False
     return table
 
 
 def _row_index(basis: _Basis, exps: np.ndarray) -> np.ndarray:
-    """Position in `basis` of each row of `exps`: the offset of its
-    degree's piece plus its rank in that piece.
+    """Position in `basis` of each row of `exps`: `_rank` of its suffix
+    sums."""
+    if exps.size and exps.min() < 0:
+        raise KeyError(tuple(int(x) for x in exps[(exps < 0).any(axis=1).argmax()]))
+    return _rank(basis, _suffixes(exps))
+
+
+def _suffixes(exps: np.ndarray) -> np.ndarray:
+    """Column k: the exponent sum of the last k + 1 variables of each row
+    of the (M, n) array `exps`; the last column is the degree.  The sum
+    of two exponent rows has the sum of their suffixes."""
+    return np.cumsum(exps[:, ::-1], axis=1)
+
+
+def _rank(basis: _Basis, suffix: np.ndarray) -> np.ndarray:
+    """Position in `basis` of the monomials of nonnegative exponents whose
+    `_suffixes` are the rows of `suffix`: the offset of its degree's
+    piece plus its rank in that piece.  A degree with no piece in `basis`
+    raises KeyError, with the monomial's exponents.
 
     The rank of e in lex-descending order counts, for each variable
     x_j but the last, the monomials that agree with e before x_j and have
     a larger exponent there: those of degree below s in the k + 1
-    variables after x_j, e's degree s there, `_rank_table`'s t[s, k].  No
+    variables after x_j, e's degree s there, `_rank_table`'s t[k, s].  No
     number passes the size of a piece, so the lookup is exact for any
     number of variables."""
-    if exps.size and exps.min() < 0:
-        raise KeyError(tuple(int(x) for x in exps[(exps < 0).any(axis=1).argmax()]))
     offset = basis.offset
-    # column by column: numpy sums along the short rows far more slowly;
     # a degree past the table reads the -1 at its end
-    rank = offset[np.minimum(sum(exps.T), len(offset) - 1)]
+    rank = offset.take(np.minimum(suffix[:, -1], len(offset) - 1))
     if rank.size and rank.min() < 0:
-        raise KeyError(tuple(int(x) for x in exps[rank.argmin()]))
-    table, suffix = _rank_table(exps.shape[1], len(offset) - 2), 0
-    for k, column in enumerate(exps.T[:0:-1]):  # the degree in the last k + 1
-        suffix = suffix + column
-        rank += table[suffix, k]
+        bad = suffix[rank.argmin()]
+        raise KeyError(tuple(np.diff(bad, prepend=0)[::-1].tolist()))
+    for k, counts in enumerate(_rank_table(suffix.shape[1], len(offset) - 2)):
+        rank += counts.take(suffix[:, k])
     return rank
 
 
@@ -238,12 +268,15 @@ def span(vectors, p: int) -> np.ndarray:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+    """Reduced row echelon form mod p; returns (matrix, pivot columns).
+
+    Only the columns with a nonzero entry are visited: a zero column
+    stays zero under row operations."""
     m = np.ascontiguousarray(a % p, dtype=np.int64)
-    rows, cols = m.shape
+    rows = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in m.any(axis=0).nonzero()[0].tolist():
         if r == rows:
             break
         nz = m[r:, c].nonzero()[0]
@@ -265,14 +298,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """`rref` of every matrix of a (B, R, C) stack at once: returns the
-    reduced stack and the (B, C) mask of its pivot columns.
+    """`rref` of every matrix of a (B, R, C) stack at once, in place: the
+    writable int64 stack `a` is reduced and returned, with the (B, C)
+    mask of its pivot columns.  No copy is made, so a caller that reads
+    the stack again passes a copy.
 
     One pass over the columns, vectorised over the stack, with rref's
     first-nonzero, top-down pivot rule; only the rows with a nonzero in
     the pivot column are updated.  An rref is unique, so member b is
     rref(a[b], p), with its pivot rows first."""
-    m = np.ascontiguousarray(a % p, dtype=np.int64)
+    m = np.remainder(a, p, out=a)
     count, rows, cols = m.shape
     pivots = np.zeros((count, cols), dtype=bool)
     rank = np.zeros(count, dtype=np.int64)  # the next pivot row of each member

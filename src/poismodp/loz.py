@@ -24,7 +24,7 @@ from .center import (
     bracket_matrices,
     center_oracle,
     degree_widths,
-    graded_kernel,
+    graded_kernel_basis,
     graded_products,
     rank_over_subring,
     skew_monoid,
@@ -363,7 +363,8 @@ def c_loz(
     if not all(delta.is_graded_degree_zero() for delta, _ in group.basis):
         raise ArityMismatch("matrix form needs a graded degree-0 derivation")
     images = [delta.images for delta, _ in group.basis]
-    hilbert, graded_basis = graded_kernel(struct.p, struct.n, max_degree, images, limits)
+    hilbert, graded_basis = graded_kernel_basis(struct.p, struct.n, max_degree, images,
+                                                limits)
     return CenterReport(
         engine="loz-kernel",
         generators=[f for d in range(1, max_degree + 1) for f in graded_basis[d]],
@@ -482,11 +483,16 @@ def decomposable_witness(
     of the representatives with the center's graded basis, read back
     through their pairs.  Returns the first relation found, or None.
     None is NOT a proof of decomposability: the search only sees central
-    multipliers and representatives up to max_degree.
+    multipliers and representatives up to max_degree.  A relation needs
+    two representatives, so with fewer the center is never computed;
+    its degrees are still checked against the column cap first.
     """
     p, n = struct.p, struct.n
-    center = center_oracle(struct, max_degree, limits)
+    degree_widths(n, max_degree, limits)
     blocks = _representatives(group, max_degree)
+    if len(blocks) < 2:
+        return None
+    center = center_oracle(struct, max_degree, limits)
     for m in range(1, max_degree + 1):
         pairs, cols = graded_products(n, [f for _, f in blocks], center.graded_basis, m)
         if len(pairs) < 2:

@@ -108,6 +108,26 @@ class TestExpectedCenters:
         )
         assert center_oracle(s, 12).hilbert == dims
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_whole_catalog_by_dimensions(self, monkeypatch, p):
+        # the check compares dimensions only: it never runs the oracle,
+        # which reads every kernel back as polynomials, and gives the
+        # verdict the oracle's Hilbert function gives
+        forms = potential_catalog(p)
+        verdicts = {f.label: center_oracle(f.structure(), 3 * p).hilbert
+                    == graded_span_dims(p, 3, list(f.expected_center_gens), 3 * p)[0]
+                    for f in forms}
+
+        def refuse(*args):
+            raise AssertionError("center_oracle called")
+
+        monkeypatch.setattr("poismodp.catalog.center_oracle", refuse)
+        monkeypatch.setattr("poismodp.center.center_oracle", refuse)
+        for form in forms:
+            expected = form.form_id != "SquareLine"
+            assert verify_expected_center(form, 3 * p) is expected, form.label
+            assert verdicts[form.label] is expected, form.label
+
     def test_two_lines_double_p3_fails_and_corrects(self):
         # at p = 3 the generic answer fails; the five cubic generators work
         p = 3

@@ -18,6 +18,7 @@ from poismodp.center import (
     gorenstein_skew,
     gorenstein_via_theorem38,
     graded_kernel,
+    graded_kernel_basis,
     graded_products,
     graded_span_dims,
     hilbert_skew,
@@ -398,16 +399,13 @@ class TestOracle:
 
 
 def graded_kernel_per_degree(p, n, max_degree, derivations):
-    """Reference for `graded_kernel`: one elimination per degree."""
+    """Reference for `graded_kernel`: one elimination per degree, each
+    kernel as a list of vectors."""
     h = max((g.degree() for images in derivations for g in images if not g.is_zero),
             default=1)
-    hilbert, graded_basis = [], {}
     for d in range(max_degree + 1):
         tgt = (d + h - 1,) if d + h >= 1 else ()
-        kernel = linalg.nullspace(linalg.derivation_entries(derivations, n, (d,), tgt), p)
-        graded_basis[d] = linalg.polys(kernel, p, n, (d,))
-        hilbert.append(len(kernel))
-    return hilbert, graded_basis
+        yield d, linalg.nullspace(linalg.derivation_entries(derivations, n, (d,), tgt), p)
 
 
 def graded_kernel_cases():
@@ -439,7 +437,8 @@ def graded_kernel_cases():
 
 class TestGradedKernel:
     """All degrees of a group are eliminated as one matrix; each degree's
-    basis is still the one of its own elimination, vector for vector."""
+    basis is still the one of its own elimination, vector for vector, and
+    is yielded as soon as its group's elimination is done."""
 
     @pytest.mark.parametrize("budget", [1, 1024, 10**9])
     def test_against_per_degree(self, monkeypatch, budget):
@@ -450,19 +449,27 @@ class TestGradedKernel:
         monkeypatch.setattr("poismodp.center._GROUP_COLUMNS", budget)
         for p, n, max_degree, derivations in graded_kernel_cases():
             calls.clear()
-            hilbert, basis = graded_kernel(p, n, max_degree, derivations, Limits())
-            ref_hilbert, ref_basis = graded_kernel_per_degree(p, n, max_degree, derivations)
-            assert hilbert == ref_hilbert
-            assert list(basis) == list(ref_basis)
-            for d, polys in basis.items():
-                assert [f.terms for f in polys] == [f.terms for f in ref_basis[d]], d
+            reference = list(graded_kernel_per_degree(p, n, max_degree, derivations))
             widths = [len(monomials_of_degree(n, d)) for d in range(max_degree + 1)]
+            for (d, kernel), (ref_d, ref_kernel) in itertools.zip_longest(
+                    graded_kernel(p, n, max_degree, derivations, Limits()), reference):
+                assert d == ref_d
+                # yielded before the next group of degrees is eliminated
+                assert calls[-1][2][0] <= d <= calls[-1][2][-1]
+                assert kernel.shape == (len(ref_kernel), widths[d])
+                assert kernel.tolist() == [v.tolist() for v in ref_kernel], d
             if budget == 1:
                 assert len(calls) == max_degree + 1
             elif budget > sum(widths):
                 assert len(calls) == 1
             columns = [sum(widths[d] for d in src) for _, _, src, _ in calls]
             assert all(c <= budget or c in widths for c in columns)
+            hilbert, basis = graded_kernel_basis(p, n, max_degree, derivations, Limits())
+            assert hilbert == [len(kernel) for _, kernel in reference]
+            assert list(basis) == list(range(max_degree + 1))
+            for d, kernel in reference:
+                assert [f.terms for f in basis[d]] == [
+                    f.terms for f in linalg.polys(kernel, p, n, (d,))], d
 
     def test_cap_before_any_piece(self, monkeypatch):
         # degree 99 is the first of more than 5000 columns at n = 3; the
@@ -476,7 +483,7 @@ class TestGradedKernel:
         monkeypatch.setattr("poismodp.center.derivation_entries", refuse)
         s = trivial_structure(5, 3)
         with pytest.raises(DegreeBoundTooLarge) as raised:
-            graded_kernel(5, 3, 10**5, [a.images for a in s.ad], Limits())
+            next(graded_kernel(5, 3, 10**5, [a.images for a in s.ad], Limits()))
         assert str(raised.value) == "5050 columns at degree 99, cap is 5000"
 
 

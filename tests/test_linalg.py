@@ -437,6 +437,40 @@ class TestPeel:
 
 
 @st.composite
+def wide_sparse(draw):
+    """A matrix of 1-8 rows and 10-80 columns, each row with a few
+    nonzeros, so that most columns are zero, and its prime."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(10, 80))
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for r in range(rows):
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=4)):
+            a[r, c] = draw(st.integers(1, p - 1))
+    if draw(st.booleans()) and rows > 1:
+        a[-1] = (a[0] + 2 * a[1]) % p  # a dependent row
+    return a, p
+
+
+class TestRrefZeroColumns:
+    """`rref` visits only the columns with a nonzero entry; its answer is
+    that of `rref_stack`, which visits every column."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(wide_sparse())
+    def test_against_rref_stack(self, case):
+        a, p = case
+        m, pivots = linalg.rref(a, p)
+        ref, ref_pivots = linalg.rref_stack(a[None].copy(), p)
+        assert np.array_equal(m, ref[0])
+        assert pivots == ref_pivots[0].nonzero()[0].tolist()
+
+    def test_zero_and_empty(self):
+        for shape in [(3, 0), (0, 4), (2, 5)]:
+            m, pivots = linalg.rref(np.zeros(shape, dtype=np.int64), 5)
+            assert m.shape == shape and not m.any() and pivots == []
+
+
+@st.composite
 def stacks(draw):
     """A (B, R, C) stack and its prime, B, R or C possibly 0.  Members are
     random, sparse, zero or of full rank min(R, C); entries are sometimes
@@ -476,9 +510,9 @@ class TestRrefStack:
     @given(stacks())
     def test_matches_one_rref_per_matrix(self, case):
         a, p = case
-        before = a.copy()
-        m, pivots = linalg.rref_stack(a, p)
-        assert np.array_equal(a, before)
+        reduced = a.copy()
+        m, pivots = linalg.rref_stack(reduced, p)
+        assert m is reduced  # reduced in place
         assert m.shape == a.shape and m.dtype == np.int64
         assert pivots.shape == (a.shape[0], a.shape[2]) and pivots.dtype == bool
         for b in range(len(a)):

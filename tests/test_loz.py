@@ -846,6 +846,21 @@ class TestWitness:
         with pytest.raises(DegreeBoundTooLarge, match="6 columns at degree 2, cap is 5"):
             decomposable_witness(s, g, 3, Limits(columns=5))
 
+    def test_order_one_needs_no_center(self, monkeypatch):
+        # one representative (1, for the zero derivation) cannot make a
+        # relation: None without solving the center, after its cap check
+        s = catalog_form(5, "Irr1").structure()
+        g = log_ozone_group(s, 3)
+        assert g.order == 1
+
+        def refuse(*args):
+            raise AssertionError("center computed")
+
+        monkeypatch.setattr("poismodp.loz.center_oracle", refuse)
+        assert decomposable_witness(s, g, 10) is None
+        with pytest.raises(DegreeBoundTooLarge, match="6 columns at degree 2, cap is 5"):
+            decomposable_witness(s, g, 3, Limits(columns=5))
+
 
 class TestMaximalOrderReport:
     def test_two_var_skew(self):

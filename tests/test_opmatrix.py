@@ -256,6 +256,100 @@ class TestDerivationEntries:
 
 
 @st.composite
+def derivation_lists(draw):
+    """(p, n, derivations, src): up to three image lists on n = 1..5
+    variables.  Images may be zero, and a drawn monomial s gives terms
+    x^(s + eps_j) to several images j, which share the shift s; their
+    products meet in one cell and may cancel mod p."""
+    p, n = draw(PRIMES), draw(st.integers(1, 5))
+    shared = draw(st.lists(st.sampled_from(monomials_upto_degree(n, 2)), max_size=2))
+    derivations = []
+    for _ in range(draw(st.integers(0, 3))):
+        images = []
+        for j in range(n):
+            terms = dict(draw(polys_upto(p, n, 3, max_terms=2)).terms)
+            for shift in shared:
+                c = draw(st.integers(0, p - 1))
+                if c:
+                    terms[tuple(a + (i == j) for i, a in enumerate(shift))] = c
+            images.append(MultiPoly(p, n, terms))
+        derivations.append(images)
+    top = draw(st.integers(0, 4 if n <= 2 else 2))
+    return p, n, derivations, tuple(draw(st.lists(st.integers(0, top), min_size=1,
+                                                  max_size=top + 1, unique=True)))
+
+
+def reference_entries(derivations, p, n, src, tgt):
+    """The stacked matrix of `derivation_entries`, column by column from
+    `apply_derivation` of each source monomial: on the basis of `tgt`
+    through `coeff_matrix`, or without `tgt` on the targets some product
+    e_j c x^(e - eps_j + f) with e_j != 0 mod p reaches, ascending."""
+    sources = whole_pieces(n, src)
+    images_of = [[apply_derivation(Derivation(p, n, images), MultiPoly.monomial(p, n, e))
+                  for e in sources] for images in derivations]
+    if tgt is not None:
+        blocks = [coeff_matrix(images, n, tgt) for images in images_of]
+        return np.concatenate([np.zeros((0, len(sources)), dtype=np.int64)] + blocks)
+    reached = sorted({tuple(a + b - (i == j) for i, (a, b) in enumerate(zip(e, f)))
+                      for images in derivations for e in sources
+                      for j, g in enumerate(images) if e[j] % p for f in g.terms})
+    index = {e: r for r, e in enumerate(reached)}
+    m = np.zeros((len(derivations) * len(reached), len(sources)), dtype=np.int64)
+    for k, images in enumerate(images_of):
+        for c, f in enumerate(images):
+            for e, v in f.terms.items():
+                m[k * len(reached) + index[e], c] = v
+    return m
+
+
+class TestDerivationEntriesReference:
+    """`derivation_entries` is the stacked matrix of `apply_derivation` on
+    every source monomial, entry for entry in row-major order, with
+    every target degree listed and with the reached targets alone."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(derivation_lists(), st.booleans())
+    def test_against_apply_derivation(self, case, listed):
+        p, n, derivations, src = case
+        degree = max((f.degree() for images in derivations for f in images if not f.is_zero),
+                     default=1)
+        tgt = tuple(range(max(src) + degree)) if listed else None
+        entries = derivation_entries(derivations, n, src, tgt)
+        m = reference_entries(derivations, p, n, src, tgt)
+        assert entries.shape == m.shape
+        rows, cols = m.nonzero()
+        assert entries.rows.tolist() == rows.tolist()
+        assert entries.cols.tolist() == cols.tolist()
+        assert entries.vals.tolist() == m[rows, cols].tolist()
+
+    def test_shared_shift_cancels(self):
+        # the Euler derivation x_j |-> x_j: every term has shift 0, and
+        # the cell of x^e sums to deg e, which is 0 mod p at degree p
+        p, n = 3, 2
+        euler = [[MultiPoly.variable(p, n, j) for j in range(n)]]
+        entries = derivation_entries(euler, n, (2, 3), (2, 3))
+        assert entries.rows.tolist() == entries.cols.tolist() == [0, 1, 2]
+        assert entries.vals.tolist() == [2, 2, 2]
+        # x1^2 x2 and x1 x2^2 are reached, with a zero sum; x1^3 and x2^3
+        # are not, as 3 = 0 mod 3
+        reached = derivation_entries(euler, n, (2, 3))
+        assert reached.shape == (5, 7) and len(reached.vals) == 3
+
+    def test_mixed_degrees_outside_targets_raise(self):
+        # x2 maps degree 2 to degree 2, not listed: the first such target
+        # raises, as `_row_index` does, instead of landing on row -1
+        p, n = 5, 3
+        images = [MultiPoly.variable(p, n, 0) ** 2, MultiPoly.variable(p, n, 1),
+                  MultiPoly.zero(p, n)]
+        with pytest.raises(KeyError) as raised:
+            derivation_entries([images], n, (2,), (3,))
+        assert raised.value.args == ((1, 1, 0),)
+        entries = derivation_entries([images], n, (2,), (2, 3))
+        m = reference_entries([images], p, n, (2,), (2, 3))
+        assert entries.vals.tolist() == m[m.nonzero()].tolist()
+
+
+@st.composite
 def homogeneous(draw, p, n, d, max_terms=3):
     monos = monomials_of_degree(n, d)
     terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
