@@ -43,7 +43,6 @@ from .fieldpoly import (
     MultiPoly,
     divides,
     iter_projective_vectors,
-    monomials_of_degree,
     monomials_upto_degree,
     squarefree,
 )
@@ -125,17 +124,15 @@ def pder0_matrix_space(struct: PoissonStructure) -> np.ndarray:
     return np.array(kernel, dtype=np.int64).reshape(-1, n, n)
 
 
-def _scan_direct(struct, d, homogeneous, limits):
+def _scan_direct(struct, dmax, limits):
     p, n = struct.p, struct.n
-    basis = (
-        monomials_of_degree(n, d) if homogeneous else monomials_upto_degree(n, d)
-    )
+    basis = monomials_upto_degree(n, dmax)
     count = (p ** len(basis) - 1) // (p - 1)
-    limits.check("candidates", count, f"candidates at degree {d}")
+    limits.check("candidates", count, f"candidates at degree {dmax}")
     found = []
     for coeffs in iter_projective_vectors(p, len(basis)):
         f = MultiPoly(p, n, {e: c for e, c in zip(basis, coeffs) if c})
-        if not homogeneous and f.is_constant():
+        if f.is_constant():
             continue
         images = _log_images(struct, f)
         if images is not None:
@@ -143,9 +140,9 @@ def _scan_direct(struct, d, homogeneous, limits):
     return found
 
 
-# entries per stacked elimination in the eigenspace scan (4 MiB of
-# int64; a few copies are live at once), so that its memory grows
-# neither with the number of candidates nor with the matrices' shape
+# entries per stack of eliminations or of remainders in either scan (4 MiB
+# of int64; a few copies are live at once), so that memory grows neither
+# with the number of candidates nor with the matrices' shape
 _STACK_ENTRIES = 2**19
 
 
@@ -167,6 +164,46 @@ def _digits(index, p, k):
     return np.asarray(index)[..., None] // p ** np.arange(k - 1, -1, -1) % p
 
 
+def _projective_vectors(p, length, part=slice(None)):
+    """The slice `part` of `iter_projective_vectors(p, length)` as one
+    array: the vector with its leading 1 at position l is, in base p,
+    p^(length-1-l) plus its place among the vectors of that lead."""
+    sizes = p ** np.arange(length - 1, -1, -1)
+    offsets = np.cumsum(sizes) - sizes
+    rows = range((p**length - 1) // (p - 1))[part]
+    index = np.arange(rows.start, rows.stop)
+    lead = np.searchsorted(offsets, index, side="right") - 1
+    return _digits(index - offsets[lead] + sizes[lead], p, length)
+
+
+def _scan_division(struct, d, limits):
+    """The monic normal elements of degree d with their log-ozone
+    derivations, by poly_divmod of a stack of candidates' brackets by them.
+    A candidate f has coefficient 1 on its lex-leading monomial m, and
+    x_1 m > ... > x_n m lead the x_j f: so {x_i, f} = sum_j q_ij x_j f iff,
+    taking q_ij x_j f off for j = 1..n in turn, q_ij is the coefficient of
+    x_j m in what is left and nothing is left at the end."""
+    p, n = struct.p, struct.n
+    count = (p ** comb(d + n - 1, n - 1) - 1) // (p - 1)
+    limits.check("candidates", count, f"candidates at degree {d}")
+    brackets = bracket_matrices(struct, d)
+    # shift[j, c]: the row of x_j times monomial c among those of degree d + 1
+    shift = linalg.multiplication_matrices(n, d).argmax(axis=1)
+    found = []
+    for part in _chunks(count, brackets.shape[:2]):
+        f = _projective_vectors(p, brackets.shape[2], part)
+        lead, stack = (f != 0).argmax(axis=1), np.arange(len(f))
+        rem = np.tensordot(f, brackets, (1, 2)) % p  # rem[:, i]: {x_i, f}
+        q = np.empty((len(f), n, n), dtype=np.int64)
+        for j in range(n):
+            q[:, :, j] = rem[stack, :, shift[j, lead]] % p
+            rem[:, :, shift[j]] -= q[:, :, j, None] * f[:, None, :]
+        normal = ~(rem % p).any(axis=(1, 2))
+        found.extend(zip(linalg.polys(f[normal], p, n, (d,)),
+                         (Derivation.from_matrix(p, m) for m in q[normal])))
+    return found
+
+
 def _scan_eigenspaces(struct, d, pder0, limits):
     """Union over candidate degree-0 derivations delta of the solution
     spaces of {x_i, f} = delta(x_i) f on the degree-d component, delta
@@ -175,7 +212,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     Every monic homogeneous normal element arises this way, since its
     log-ozone derivation is a degree-0 Poisson derivation; conversely a
     nonzero solution f is normal by the Leibniz rule.  Same answer as
-    the direct candidate scan, usually far cheaper.
+    `_scan_division`, cheaper when p^k is small against the candidates.
 
     Block i of the system depends only on row i of delta's matrix, so it
     is eliminated once per row value; a row value whose block has a
@@ -232,7 +269,7 @@ def _scan_eigenspaces(struct, d, pder0, limits):
             elements += (p ** len(kernel) - 1) // (p - 1)
             limits.check("candidates", elements, f"normal elements at degree {d}")
             delta = Derivation.from_matrix(p, D[b])
-            combos = np.array(list(iter_projective_vectors(p, len(kernel))), dtype=np.int64)
+            combos = _projective_vectors(p, len(kernel))
             found.extend((f.monic(), delta)
                          for f in linalg.polys(combos @ kernel % p, p, n, (d,)))
     return found
@@ -248,38 +285,41 @@ def enumerate_normal(
     candidates, once every degree's width has passed `degree_widths`;
     otherwise the whole filtration (constant terms allowed) is scanned.
     """
-    p = struct.p
+    p, n = struct.p, struct.n
     found: list[tuple[MultiPoly, Derivation]] = []
     if struct.graded:
-        widths = degree_widths(struct.n, dmax, limits)
-        pder0 = pder0_matrix_space(struct)
+        widths = degree_widths(n, dmax, limits)
+        pder0 = None
+        # in units of one division candidate (1 us at n=3, degree 2, 2.5-4.7
+        # us at degree 3 or n=4): row values cost 2-6 units, counted as 5,
+        # and the pass over the p^k candidate derivations 0.11 us each,
+        # counted as 1/20.  At p=5, n=3 dividing took 0.15-0.2 ms at degree
+        # 1 (the eigenspace scan 0.5-2.6 ms) and 3.8-4.9 ms at degree 2 (0.7-3.4)
+        def eigenspace_cost(k):
+            return 5 * n * p ** min(k, n) + p**k // 20
+
         for d in range(1, dmax + 1):
-            direct_cost = (p ** widths[d] - 1) // (p - 1)
-            # costs in units of one direct test (24-54 us at p=5, n=3).  A
-            # row value costs about a third of one in a degree's stack of
-            # 135-255 (7-17 us) and up to about one and a half in stacks
-            # of 15-55 (12-63 us); it is counted as one, since stacks that
-            # small mean at most 55 row values, which can only tip the
-            # choice where the direct scan is a few hundred tests at most.
-            # The pass over the p^k candidates costs 0.18 us per
-            # candidate (k=9), one direct test per 150-300 candidates; it
-            # is counted as one per 100.
-            eig_cost = struct.n * p ** min(len(pder0), struct.n) + p**len(pder0) // 100
-            if direct_cost <= eig_cost or p ** len(pder0) > limits.candidates:
-                batch = _scan_direct(struct, d, True, limits)
+            candidates = (p ** widths[d] - 1) // (p - 1)
+            # x_i |-> x_i is a degree-0 Poisson derivation of every quadratic
+            # bracket, so k >= 1: pder0 is built once, and only for a degree
+            # that costs more than the eigenspace scan with k = 1
+            if pder0 is None and candidates > eigenspace_cost(1):
+                pder0 = pder0_matrix_space(struct)
+            if (pder0 is not None and candidates > eigenspace_cost(len(pder0))
+                    and p ** len(pder0) <= limits.candidates):
+                scan, batch = "eigenspace", _scan_eigenspaces(struct, d, pder0, limits)
             else:
-                batch = _scan_eigenspaces(struct, d, pder0, limits)
-                # checked in MultiPoly, not linalg, and against delta itself
-                for f, delta in batch:
-                    if any(struct.bracket_with_gen(i, f) != delta.images[i] * f
-                           for i in range(struct.n)):
-                        raise InternalCheckFailed(
-                            f"eigenspace scan paired {f} with a derivation not its own"
-                        )
+                scan, batch = "division", _scan_division(struct, d, limits)
+            # checked in MultiPoly, not linalg, and against delta itself
+            for f, delta in batch:
+                if any(struct.bracket_with_gen(i, f) != delta.images[i] * f
+                       for i in range(n)):
+                    raise InternalCheckFailed(f"{scan} scan paired {f} with a "
+                                              "derivation not its own")
             found.extend(batch)
     else:
-        limits.check("columns", comb(dmax + struct.n, struct.n), "filtration columns")
-        found.extend(_scan_direct(struct, dmax, False, limits))
+        limits.check("columns", comb(dmax + n, n), "filtration columns")
+        found.extend(_scan_direct(struct, dmax, limits))
     found.sort(key=lambda pair: pair[0].sort_key())
     return found
 

@@ -210,10 +210,10 @@ class TestLoz:
         assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
 
     def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
-        # at degree 2 the search takes the eigenspace scan (pruned bound
-        # 3*5^3 = 375 against 3906 projective quadrics), whose answers are
-        # re-verified against their derivations; no quadric is central
-        # here, so none has the zero derivation
+        # at degree 2 the search takes the eigenspace scan (cost
+        # 5*3*5^3 + 5^3//20 = 1881 against 3906 projective quadrics),
+        # whose answers are re-verified against their derivations; no
+        # quadric is central here, so none has the zero derivation
         path = tmp_path / "skew3_p5.json"
         path.write_text(json.dumps({
             "schema": 1, "p": 5,
@@ -229,6 +229,27 @@ class TestLoz:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: eigenspace scan paired")
+        assert "Traceback" not in err
+
+    def test_failed_division_check_exits_1(self, capsys, monkeypatch, tmp_path):
+        # degree 1 is divided (31 candidates against a least eigenspace
+        # cost of 75), and its answers are re-verified in the same way;
+        # no linear form is central here
+        path = tmp_path / "skew3_p5.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 5,
+            "bracket": {"kind": "skew",
+                        "matrix": [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]},
+        }))
+        scan = loz._scan_division
+        monkeypatch.setattr(
+            "poismodp.loz._scan_division",
+            lambda s, *args: [(f, Derivation.zero(s.p, s.n)) for f, _ in scan(s, *args)],
+        )
+        code = main(["loz", "--algebra", str(path), "--normal-degree", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: division scan paired x")
         assert "Traceback" not in err
 
 

@@ -36,7 +36,9 @@ from poismodp.loz import (
     _elementary_matrices,
     _semisimple_part,
     _digits,
-    _scan_direct,
+    _log_images,
+    _projective_vectors,
+    _scan_division,
     _scan_eigenspaces,
     c_loz,
     decomposable_witness,
@@ -79,14 +81,35 @@ def skew_0cc(p, c):
     return from_skew_matrix(SkewMatrix.from_rows(p, [[0, 0, c], [0, 0, c], [-c, -c, 0]]))
 
 
+# degrees of at most this many candidates are also scanned by
+# `reference_scan`, whose MultiPoly tests take 20-50 us each
+REFERENCE_CANDIDATES = 400
+
+
+def reference_scan(s, d):
+    """Reference for both graded scans that uses no numpy: `_log_images`
+    of every projective candidate of degree d, in MultiPoly."""
+    basis = monomials_of_degree(s.n, d)
+    found = []
+    for coeffs in iter_projective_vectors(s.p, len(basis)):
+        f = MultiPoly(s.p, s.n, {e: c for e, c in zip(basis, coeffs) if c})
+        images = _log_images(s, f)
+        if images is not None:
+            found.append((f.key(), Derivation(s.p, s.n, images).key()))
+    return found
+
+
 def assert_paths_agree(s, degrees):
-    """The direct candidate scan and the eigenspace scan find the same
-    (element, derivation) pairs at each degree."""
+    """The division scan and the eigenspace scan find the same
+    (element, derivation) pairs at each degree, each pair once, and so
+    does `reference_scan` where it is cheap."""
     pder0 = pder0_matrix_space(s)
     for d in degrees:
-        direct = {(f.key(), dd.key()) for f, dd in _scan_direct(s, d, True, Limits())}
-        eig = {(f.key(), dd.key()) for f, dd in _scan_eigenspaces(s, d, pder0, Limits())}
-        assert direct == eig, d
+        division = keys(_scan_division(s, d, Limits()))
+        assert len(set(division)) == len(division), d
+        assert set(division) == set(keys(_scan_eigenspaces(s, d, pder0, Limits()))), d
+        if (s.p ** math.comb(d + s.n - 1, d) - 1) // (s.p - 1) <= REFERENCE_CANDIDATES:
+            assert division == reference_scan(s, d), d
 
 
 def per_row_value_scan(s, d, pder0):
@@ -157,8 +180,9 @@ class TestEigenspaceStacks:
     # two 45 x 10 survivor systems at degree 3; 1050 makes row-filter
     # chunks of seven 15 x 10 blocks there, so that the first of skew
     # (2, 2, 0), whose rows span 5, 25 and 25 values, holds values of
-    # rows 0 and 1
-    @pytest.mark.parametrize("budget", [1, 900, 1050])
+    # rows 0 and 1; 130 makes the division scan's chunks at degree 1
+    # seven candidates of 3 x 6 remainders, two of which span two leads
+    @pytest.mark.parametrize("budget", [1, 130, 900, 1050])
     def test_chunk_size_leaves_the_answer(self, monkeypatch, budget):
         structures = [cube(5), from_potential(parse_poly("2*x1*x2*x3", 5, 3)),
                       skew3(5, (2, 2, 0))]
@@ -173,6 +197,26 @@ class TestEigenspaceStacks:
         assert [keys(enumerate_normal(s, 3)) for s in structures] == expected
         assert all(b == 1 or b * r * c <= budget for b, r, c in shapes)
         assert max(b for b, r, c in shapes if (r, c) == (45, 10)) == max(1, budget // 450)
+
+
+class TestProjectiveVectors:
+    """`_projective_vectors` gives `iter_projective_vectors`, row for row,
+    in one array or in slices."""
+
+    @pytest.mark.parametrize("p, length", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_matches_iterator(self, p, length):
+        expected = np.array(list(iter_projective_vectors(p, length)), dtype=np.int64)
+        assert np.array_equal(_projective_vectors(p, length), expected)
+        # slices of 7 rows, some across two leads, and one past the end
+        parts = [_projective_vectors(p, length, slice(s, s + 7))
+                 for s in range(0, len(expected), 7)]
+        assert np.array_equal(np.concatenate(parts), expected)
+
+    def test_slice_across_two_leads(self):
+        # at p=3, length 3, the first 9 rows lead with 1 in position 0
+        # and the next 3 with 1 in position 1
+        assert _projective_vectors(3, 3, slice(7, 11)).tolist() == [
+            [1, 2, 1], [1, 2, 2], [0, 1, 0], [0, 1, 1]]
 
 
 class TestNormality:
@@ -336,7 +380,7 @@ class TestEnumerate:
             raise AssertionError("degree scanned")
 
         monkeypatch.setattr("poismodp.loz._scan_eigenspaces", refuse)
-        monkeypatch.setattr("poismodp.loz._scan_direct", refuse)
+        monkeypatch.setattr("poismodp.loz._scan_division", refuse)
         with pytest.raises(DegreeBoundTooLarge) as raised:
             enumerate_normal(cube(5), 300)
         assert str(raised.value) == "5050 columns at degree 99, cap is 5000"
@@ -374,20 +418,40 @@ class TestEnumerate:
         assert matrices == [255, 1, 255, 1]
 
     def test_paths_agree(self):
-        # degree 3 at p=5 means 2.4M direct candidates; cross-validate the
-        # cheap degrees at p=5 and the full depth at p=3 instead.  The cube
-        # and the skew bracket have more degree-0 Poisson derivations than
-        # variables (k > n); at p=3 the cube's bracket is zero (k = 9), and
-        # skew (0, 3, 3) would be too, so the skew case takes (0, 1, 1).
+        # degree 3 at p=5 means 2.4M division candidates; cross-validate
+        # the cheap degrees at p=5 and the full depth at p=3 instead.  The
+        # cube and the skew bracket have more degree-0 Poisson derivations
+        # than variables (k > n); at p=3 the cube's bracket is zero (k = 9),
+        # and skew (0, 3, 3) would be too, so the skew case takes (0, 1, 1).
         for p, degrees, c in ((5, (1, 2), 3), (3, (1, 2, 3), 1)):
             for s in (two_lines(p), cube(p), skew_0cc(p, c)):
                 assert_paths_agree(s, degrees)
 
+    @pytest.mark.parametrize("s, degrees", [
+        (from_skew_matrix(SkewMatrix.from_rows(2, [[0, 1], [1, 0]])), (1, 2, 3, 4)),
+        (jordan_plane(2), (1, 2, 3, 4)),
+        (trivial_structure(3, 2), (1, 2, 3)),  # k = n^2 = 4
+        (trivial_structure(3, 3), (1, 2)),  # k = 9
+        (explicit_structure(5, 2, {(0, 1): parse_poly("x2^2", 5, 2)}), (1, 2, 3)),
+    ], ids=["skew-p2", "jordan-p2", "zero-n2", "zero-n3", "jordan-x2"])
+    def test_paths_agree_on_edge_cases(self, s, degrees):
+        assert_paths_agree(s, degrees)
+
+    def test_division_lead_past_the_first_monomial(self):
+        # {x1, x2} = x2^2: the normal elements are the powers of x2, whose
+        # lead is the last monomial of its degree, met by the division
+        # scan in a chunk of candidates with every lead; {x1, x2^3} =
+        # 3 x2^4
+        s = explicit_structure(5, 2, {(0, 1): parse_poly("x2^2", 5, 2)})
+        pairs = enumerate_normal(s, 3)
+        assert [format_poly(f) for f, _ in pairs] == ["x2", "x2^2", "x2^3"]
+        assert [format_poly(g) for g in pairs[2][1].images] == ["3*x2", "0"]
+
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(st.data())
     def test_paths_agree_on_random_potentials(self, data):
-        # one degree per example keeps the direct scans (29 524 candidates
-        # at p=3, degree 3) within the suite's time
+        # one degree per example keeps the scans (29 524 division
+        # candidates at p=3, degree 3) within the suite's time
         p = data.draw(st.sampled_from([3, 5]))
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
         omega = MultiPoly(p, 3, dict(zip(monomials_of_degree(3, 3), coeffs)))
@@ -397,7 +461,7 @@ class TestEnumerate:
     def test_zero_bracket_keeps_direct_scan(self, monkeypatch):
         # k = 9 derivation candidates per degree: at p=7 the 7^9 exceed the
         # cap, and at p=5 the row filter's pass over 5^9 costs more than
-        # the 3906 direct tests of degree 2
+        # dividing the 3906 candidates of degree 2
         def refuse(*args):
             raise AssertionError("eigenspace scan chosen")
 
@@ -425,6 +489,48 @@ class TestEnumerate:
         with pytest.raises(InternalCheckFailed, match="not its own"):
             enumerate_normal(catalog_form(5, "ThreeLines").structure(), 3)
         assert swapped == [2]
+
+    def test_division_scan_checks_each_derivation(self, monkeypatch):
+        # ThreeLines at p=5 divides at degree 1, where x1, x2 and x3 are
+        # normal with three different derivations; swapping two of them
+        # leaves every element normal
+        scan, swapped = _scan_division, []
+
+        def swap(struct, d, limits):
+            batch = scan(struct, d, limits)
+            (f0, d0), (f1, d1) = batch[:2]
+            assert d0 != d1
+            batch[0], batch[1] = (f0, d1), (f1, d0)
+            swapped.append(d)
+            return batch
+
+        monkeypatch.setattr("poismodp.loz._scan_division", swap)
+        with pytest.raises(InternalCheckFailed, match="^division scan paired .* not its own"):
+            enumerate_normal(catalog_form(5, "ThreeLines").structure(), 3)
+        assert swapped == [1]
+
+    def test_pder0_built_at_most_once(self, monkeypatch):
+        # Cube at p=5 takes the eigenspace scan at degrees 2 and 3, and the
+        # zero bracket at p=5 weighs k = 9 at degree 2 to divide there
+        calls = []
+        monkeypatch.setattr("poismodp.loz.pder0_matrix_space",
+                            lambda s: calls.append(s) or pder0_matrix_space(s))
+        for s, dmax in ((cube(5), 3), (trivial_structure(5, 3), 2)):
+            calls.clear()
+            enumerate_normal(s, dmax)
+            assert calls == [s]
+
+    def test_no_pder0_when_every_degree_divides(self, monkeypatch):
+        # 40 candidates at degree 1 on 4 variables at p=3, within the
+        # eigenspace scan's least cost (k >= 1): pder0 is never built
+        def refuse(*args):
+            raise AssertionError("pder0 built")
+
+        monkeypatch.setattr("poismodp.loz.pder0_matrix_space", refuse)
+        s = from_skew_matrix(SkewMatrix.from_rows(
+            3, [[0, 1, 2, 0], [-1, 0, 1, 1], [-2, -1, 0, 1], [0, -1, -1, 0]]))
+        pairs = enumerate_normal(s, 1)
+        assert {format_poly(f) for f, _ in pairs} == {"x1", "x2", "x3", "x4"}
 
     def test_eigenspace_scan_memory(self):
         # the zero bracket on 3 variables at p=3 has k = 9 degree-0
@@ -456,7 +562,7 @@ class TestEnumerate:
         finally:
             tracemalloc.stop()
         assert len(found) == 31  # every monic linear form, with delta = 0
-        direct = _scan_direct(s, 1, True, Limits())
+        direct = _scan_division(s, 1, Limits())
         assert {(f.key(), d.key()) for f, d in found} == {
             (f.key(), d.key()) for f, d in direct}
         assert peak < 32 * 2**20
