@@ -101,14 +101,7 @@ def _make_form(form_id: str, p: int, lam: Optional[int] = None) -> PotentialForm
         reducible = False
     else:
         omega = parse_poly(_omega_text(form_id), p, 3)
-        reducible = form_id in (
-            "Cube",
-            "SquareLine",
-            "ThreeLines",
-            "TwoLinesDouble",
-            "LineConic1",
-            "LineConic2",
-        )
+        reducible = form_id not in ("Irr1", "Irr2")
     if form_id == "Cube":
         gens = (
             MultiPoly.variable(p, 3, 0),

@@ -431,17 +431,23 @@ def _check_generators(gens: list[MultiPoly]) -> None:
         raise PoisError("subalgebra generators must be homogeneous of degree >= 1")
 
 
+def _extend_span(p: int, n: int, gens: list[MultiPoly], bases: dict, d: int) -> None:
+    """Extend `bases`, the subalgebra generated by `gens` in degrees
+    0..len(bases)-1, up to degree d - 1: each new degree is the rref of
+    the `graded_products` of gens with the degrees below it."""
+    for e in range(len(bases), d):
+        red, pivots = linalg.rref(graded_products(n, gens, bases, e)[1].T, p)
+        bases[e] = linalg.polys(red[: len(pivots)], p, n, (e,))
+
+
 def graded_span_dims(
     p: int, n: int, gens: list[MultiPoly], max_degree: int
 ) -> tuple[list[int], dict[int, list[MultiPoly]]]:
     """Degreewise dimensions and bases of the subalgebra generated by
-    homogeneous elements of positive degree: in degree d, the rref of
-    their `graded_products` with the bases below."""
+    homogeneous elements of positive degree."""
     _check_generators(gens)
     bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
-    for d in range(1, max_degree + 1):
-        red, pivots = linalg.rref(graded_products(n, gens, bases, d)[1].T, p)
-        bases[d] = linalg.polys(red[: len(pivots)], p, n, (d,))
+    _extend_span(p, n, gens, bases, max_degree + 1)
     return [len(bases[d]) for d in range(max_degree + 1)], bases
 
 
@@ -450,8 +456,7 @@ def reduce_generators(p: int, n: int, gens: list[MultiPoly]) -> list[MultiPoly]:
     the others must be homogeneous.  Optional post-pass, not minimality
     in any stronger sense.  A generator is dropped when it lies in the
     span of the `graded_products` of the ones kept with their
-    subalgebra, built alongside in ascending degree as in
-    `graded_span_dims`."""
+    subalgebra, built alongside in ascending degree."""
     ordered = sorted((g for g in gens if not g.is_constant()), key=lambda f: f.sort_key())
     _check_generators(ordered)
     kept: list[MultiPoly] = []
@@ -460,9 +465,7 @@ def reduce_generators(p: int, n: int, gens: list[MultiPoly]) -> list[MultiPoly]:
         d = g.degree()
         # the kept generators of degree below d are final, and so are
         # the subalgebra's degrees below d
-        for e in range(len(bases), d):
-            red, pivots = linalg.rref(graded_products(n, kept, bases, e)[1].T, p)
-            bases[e] = linalg.polys(red[: len(pivots)], p, n, (e,))
+        _extend_span(p, n, kept, bases, d)
         vec = coeff_matrix([g], n, (d,))[:, 0]
         if not linalg.in_row_space(graded_products(n, kept, bases, d)[1].T, vec, p):
             kept.append(g)
@@ -484,8 +487,10 @@ def rank_over_subring(
     over k[x_1^p, ..., x_n^p], counted degreewise up to max_degree: dim
     Z_d less the rank of the `graded_products` of the x_i^p with Z.
 
-    `sub_bases` must be closed under multiplication by the x_i^p, as the
-    center's are: then the x_i^p Z_{d-p} span every x^(pv) Z_{d-p|v|}.
+    Each `sub_bases[d]` must be a basis of Z_d, linearly independent as
+    a kernel basis is, since dim Z_d is read as its length.  The bases
+    must be closed under multiplication by the x_i^p, as the center's
+    are: then the x_i^p Z_{d-p} span every x^(pv) Z_{d-p|v|}.
 
     Exact when Z is free over the p-th power subring and generated in
     degrees <= max_degree; callers get notes describing both caveats.
@@ -497,8 +502,7 @@ def rank_over_subring(
         basis = sub_bases.get(d, [])
         if not basis:
             continue
-        quotient = linalg.rank(coeff_matrix(basis, n, (d,)), p)
-        quotient -= linalg.rank(graded_products(n, powers, sub_bases, d)[1], p)
+        quotient = len(basis) - linalg.rank(graded_products(n, powers, sub_bases, d)[1], p)
         if quotient:
             last_nonzero = d
         count += quotient

@@ -246,6 +246,7 @@ def cmd_classify(args) -> int:
         label = classify_skew3(SkewMatrix.from_rows(args.p, rows))
         _emit(args, {"schema": SCHEMA, "case": label}, [f"case: {label}"])
         return 0
+    args.limits.check("candidates", args.p**3, "matrices to classify")
     counts: dict[str, int] = {}
     mismatches = []
     for upper in _upper_tuples(args.p, 3):

@@ -59,10 +59,6 @@ class NotGraded(PoisError):
     pass
 
 
-class NotGradedDegreeZero(PoisError):
-    pass
-
-
 class NotPoissonDerivation(PoisError):
     pass
 
@@ -124,9 +120,13 @@ _LIMIT_ERRORS = {"columns": DegreeBoundTooLarge, "candidates": SearchSpaceTooLar
 
 
 def require_prime(p):
-    """Reject non-prime moduli; the whole library assumes F_p."""
+    """Reject non-prime moduli; the whole library assumes F_p.  A modulus
+    with (p-1)^2 >= 2^63, which no structure accepts, is rejected before
+    trial division, so that takes at most about 55 000 steps."""
     if not isinstance(p, int) or p < 2:
         raise NonPrimeModulus(f"modulus must be a prime >= 2, got {p!r}")
+    if (p - 1) ** 2 >= 2**63:
+        raise ModulusTooLarge(f"p={p}: (p-1)^2 must be below 2^63")
     d = 2
     while d * d <= p:
         if p % d == 0:

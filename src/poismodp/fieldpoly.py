@@ -139,9 +139,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def coeff(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def key(self) -> tuple:
         """Canonical hashable form (terms in descending lex order)."""
         if self._key is None:
@@ -200,7 +197,6 @@ class MultiPoly:
             if c:
                 out.terms = {e: (v * c) % self.p for e, v in self.terms.items()}
             return out
-        self._check_compat(other)
         return poly_mul(self, other)
 
     __rmul__ = __mul__
@@ -244,15 +240,6 @@ class MultiPoly:
             terms[e2] = v
         out = MultiPoly(self.p, self.n)
         out.terms = terms
-        return out
-
-    def extend(self, n_new: int) -> "MultiPoly":
-        """Reinterpret in a larger ring by appending variables."""
-        if n_new < self.n:
-            raise ArityMismatch(f"cannot shrink from {self.n} to {n_new} variables")
-        pad = (0,) * (n_new - self.n)
-        out = MultiPoly(self.p, n_new)
-        out.terms = {e + pad: c for e, c in self.terms.items()}
         return out
 
     def shift_vars(self, offset: int, n_new: int) -> "MultiPoly":

@@ -1,8 +1,9 @@
-"""JSON (de)serialization of algebra descriptions and derivations.
+"""JSON (de)serialization of algebra descriptions.
 
 The on-disk schema is versioned: files may carry "schema": 1 and any
 unknown field is rejected so that fixtures double as regression
-artifacts.
+artifacts.  Derivations appear only inside an Ore bracket, as the
+generator images of its alpha and beta.
 """
 
 from __future__ import annotations
@@ -55,18 +56,14 @@ def _strings(obj: dict, key: str, what: str) -> list[str]:
     return items
 
 
-def _check_schema(obj: dict) -> None:
-    if "schema" in obj and obj["schema"] != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema version {obj['schema']!r}")
-
-
 def load_algebra(obj: dict) -> tuple[PoissonStructure, list[str]]:
     """Build a structure from a parsed JSON object; returns the
     structure and its variable names."""
     if not isinstance(obj, dict):
         raise ParseError("algebra description must be a JSON object")
     _check_keys(obj, _ALGEBRA_KEYS, "algebra")
-    _check_schema(obj)
+    if "schema" in obj and obj["schema"] != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema version {obj['schema']!r}")
     p = _field(obj, "p", int, "the algebra description")
     try:
         require_prime(p)
@@ -160,22 +157,6 @@ def dump_algebra(struct: PoissonStructure, var_names=None) -> dict:
         ]
         obj["bracket"] = {"kind": "explicit", "pairs": pairs}
     return obj
-
-
-def load_derivation(obj: dict, struct: PoissonStructure, names=None) -> Derivation:
-    if not isinstance(obj, dict):
-        raise ParseError("derivation description must be a JSON object")
-    _check_keys(obj, {"schema", "images"}, "derivation")
-    _check_schema(obj)
-    return _load_images(_strings(obj, "images", "derivation description"),
-                        struct, names, "images")
-
-
-def dump_derivation(d: Derivation, names=None) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "images": [format_poly(g, names) for g in d.images],
-    }
 
 
 def load_algebra_file(path: str) -> tuple[PoissonStructure, list[str]]:

@@ -136,9 +136,6 @@ class PoissonStructure:
     def gens(self) -> list[MultiPoly]:
         return MultiPoly.gens(self.p, self.n)
 
-    def is_trivial(self) -> bool:
-        return not self.table
-
     # -- the bracket -------------------------------------------------------
 
     def bracket(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -227,7 +224,7 @@ def tensor(a: PoissonStructure, b: PoissonStructure) -> PoissonStructure:
     n = a.n + b.n
     table = {}
     for (i, j), h in a.table.items():
-        table[(i, j)] = h.extend(n)
+        table[(i, j)] = h.shift_vars(0, n)
     for (i, j), h in b.table.items():
         table[(a.n + i, a.n + j)] = h.shift_vars(a.n, n)
     return PoissonStructure(p, n, table, Provenance(kind="tensor"))
@@ -248,9 +245,9 @@ def from_ore(a: PoissonStructure, alpha, beta) -> PoissonStructure:
     t = MultiPoly.variable(p, n, n - 1)
     table = {}
     for (i, j), h in a.table.items():
-        table[(i, j)] = h.extend(n)
+        table[(i, j)] = h.shift_vars(0, n)
     for i in range(a.n):
-        img = alpha.images[i].extend(n) * t + beta.images[i].extend(n)
+        img = alpha.images[i].shift_vars(0, n) * t + beta.images[i].shift_vars(0, n)
         if not img.is_zero:
             table[(i, n - 1)] = img
     return PoissonStructure(p, n, table, Provenance(kind="ore"))

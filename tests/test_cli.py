@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -156,6 +157,33 @@ class TestClassify:
 
     def test_nonprime_rejected(self, capsys):
         assert main(["classify-skew3", "--p", "6", "--all"]) == 2
+
+
+class TestTooLarge:
+    """Inputs too large to compute are usage errors at once.  A prime with
+    (p-1)^2 >= 2^63 fails before trial division, which takes minutes at
+    2^61 - 1.  `classify-skew3 --all` checks its p^3 matrices against the
+    candidate cap before it enumerates them."""
+
+    @pytest.mark.parametrize("command, p, message", [
+        ("classify-skew3", 2**61 - 1, "(p-1)^2 must be below 2^63"),
+        ("center", 2**61 - 1, "(p-1)^2 must be below 2^63"),
+        ("classify-skew3", 3037000493, "matrices to classify, cap is 10000000"),
+    ])
+    def test_rejected_at_once(self, capsys, tmp_path, command, p, message):
+        if command == "center":
+            path = tmp_path / "algebra.json"
+            path.write_text(json.dumps({"p": p, "bracket": {
+                "kind": "skew", "matrix": [[0, 1], [-1, 0]]}}))
+            argv = ["center", "--algebra", str(path)]
+        else:
+            argv = ["classify-skew3", "--p", str(p), "--all"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestLoz:

@@ -914,6 +914,21 @@ class TestPredicatesFromBasis:
             with pytest.raises(InternalCheckFailed, match="does not commute"):
                 predicate(s, group)
 
+    def test_needs_graded_input_of_degree_zero(self):
+        p = 5
+        one = MultiPoly.const(p, 2, 1)
+        graded = trivial_structure(p, 2)
+        weighted = explicit_structure(p, 2, {(0, 1): parse_poly("x1^3", p, 2)})
+        z = MultiPoly.zero(p, 2)
+        square = Derivation(p, 2, [parse_poly("x1^2", p, 2), z])  # not of degree 0
+        empty = LozGroup(p=p, n=2, search_bound=0, basis=[], found={})
+        bad = LozGroup(p=p, n=2, search_bound=0, basis=[(square, one)], found={})
+        for predicate in (is_inferable, is_quasi_inferable):
+            with pytest.raises(NotGraded):
+                predicate(weighted, empty)
+            with pytest.raises(ArityMismatch):
+                predicate(graded, bad)
+
 
 class TestWitness:
     def test_two_lines_witness_found(self):

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from poismodp.deriv import Derivation
 from poismodp.errors import ParseError
 from poismodp.fieldpoly import MultiPoly, monomials_upto_degree, parse_poly
-from poismodp.serial import (
-    dump_algebra,
-    dump_derivation,
-    load_algebra,
-    load_derivation,
-)
+from poismodp.serial import dump_algebra, load_algebra
 from poismodp.structure import (
     SkewMatrix,
     from_ore,
@@ -202,10 +197,13 @@ class TestFieldTypes:
         with pytest.raises(ParseError):
             load_algebra(obj)
 
-    def test_derivation_images_type(self):
-        struct, names = load_algebra(skew_obj())
-        with pytest.raises(ParseError):
-            load_derivation({"images": "x1"}, struct, names)
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_ore_image_count(self, key):
+        # the base has one variable, so each map needs one image
+        obj = ore_obj()
+        obj["bracket"][key] = ["0", "0"]
+        with pytest.raises(ParseError, match=f"'{key}' needs 1 generator images"):
+            load_algebra(obj)
 
 
 class TestDuplicateNames:
@@ -312,15 +310,3 @@ class TestRoundtripProperty:
         if struct.provenance.kind in ("skew", "potential"):
             assert again.provenance.kind == struct.provenance.kind
         assert dump_algebra(again) == dumped
-
-
-class TestDerivationIO:
-    def test_roundtrip(self):
-        struct, names = load_algebra(skew_obj())
-        d = load_derivation({"images": ["x1", "0", "2*x3"]}, struct, names)
-        assert dump_derivation(d, names)["images"] == ["x1", "0", "2*x3"]
-
-    def test_wrong_count(self):
-        struct, names = load_algebra(skew_obj())
-        with pytest.raises(ParseError):
-            load_derivation({"images": ["x1"]}, struct, names)

@@ -164,7 +164,7 @@ class TestModulusBound:
 class TestConstructors:
     def test_zero_matrix_trivial(self):
         s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 0], [0, 0]]))
-        assert s.is_trivial() and s.graded
+        assert not s.table and s.graded
 
     def test_two_var_skew(self):
         s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 2], [-2, 0]]))
@@ -189,7 +189,7 @@ class TestConstructors:
         assert s.entry(2, 0) == parse_poly("x1^2 + 2*x1*x2", 5, 3)
 
     def test_potential_zero(self):
-        assert from_potential(MultiPoly.zero(5, 3)).is_trivial()
+        assert not from_potential(MultiPoly.zero(5, 3)).table
 
     def test_potential_needs_three_vars(self):
         with pytest.raises(WrongArity):
@@ -306,7 +306,7 @@ class TestHamiltonianDerivations:
 class TestTensor:
     def test_trivial_tensor_trivial(self):
         t = tensor(trivial_structure(5, 1), trivial_structure(5, 2))
-        assert t.is_trivial() and t.n == 3
+        assert not t.table and t.n == 3
 
     def test_skew_tensor_line(self):
         s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 2], [-2, 0]]))
