@@ -70,7 +70,6 @@ class MonoidData:
     c: SkewMatrix
     B: list[tuple[int, ...]]
     I: list[int]
-    J: list[int]
     u: tuple[int, ...]
 
     @property
@@ -95,17 +94,18 @@ class MonoidData:
 
 
 def skew_monoid(c: SkewMatrix, limits: Limits = Limits()) -> MonoidData:
-    """Kernel of c over F_p, box representatives, and the I/J index split."""
+    """Kernel of c over F_p, box representatives, and the indices I
+    where some box vector is nonzero.  The box is every combination of a
+    kernel basis, so its p^(dim ker c) vectors are distinct."""
     p, n = c.p, c.n
     mat = np.array(c.entries, dtype=np.int64) % p
     kern = linalg.nullspace(mat, p)
     limits.check("kernel", p ** len(kern), "kernel vectors")
     box = linalg.span(np.reshape(kern, (len(kern), n)), p)
-    B = sorted(set(map(tuple, box.tolist())))
+    B = sorted(map(tuple, box.tolist()))
     I = sorted({i for b in B for i in range(n) if b[i] != 0})
-    J = [j for j in range(n) if j not in I]
     u = tuple(1 if i in I else 0 for i in range(n))
-    return MonoidData(c=c, B=B, I=I, J=J, u=u)
+    return MonoidData(c=c, B=B, I=I, u=u)
 
 
 def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> CenterReport:
@@ -134,7 +134,6 @@ def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> C
         rank=series.rank,
         numerator=series.numerator,
         numerator_palindromic=_palindromic(series.numerator),
-        notes=series.notes,
     )
 
 
@@ -183,18 +182,24 @@ def _matches_template(c: SkewMatrix, template) -> bool:
     return False
 
 
-def classify_skew3(c: SkewMatrix) -> str:
-    """Classify a 3x3 skew matrix by the shape of its Gorenstein center.
+def require_skew3(c: SkewMatrix) -> None:
+    """Raise unless `classify_skew3` applies to c: n = 3 and p > 3."""
+    if c.n != 3:
+        raise WrongArity(f"classification needs n=3, got n={c.n}")
+    if c.p <= 3:
+        raise SmallCharacteristic("classification assumes p > 3")
+
+
+def classify_skew3(m: MonoidData) -> str:
+    """Classify the 3x3 skew matrix m.c by the shape of its Gorenstein
+    center, read from its monoid m.
 
     Returns one of Case1, Case2a, Case2b, Case2c, NotGorenstein.  Case1
     is a trivial kernel; the other cases are matched by brute force over
     all six simultaneous row/column permutations.
     """
-    if c.n != 3:
-        raise WrongArity(f"classification needs n=3, got n={c.n}")
-    if c.p <= 3:
-        raise SmallCharacteristic("classification assumes p > 3")
-    m = skew_monoid(c)
+    c = m.c
+    require_skew3(c)
     gor, _ = gorenstein_skew(m)
     if not gor:
         return "NotGorenstein"
@@ -218,28 +223,20 @@ class SeriesData:
     numerator: list[int]
     coefficients: list[int]
     rank: str
-    rank_exact: bool
-    notes: tuple[str, ...] = ()
 
 
 def hilbert_skew(m: MonoidData, max_degree: int) -> SeriesData:
-    """Series data from the free decomposition over k[x_1^p, ..., x_n^p]."""
+    """Series data from the free decomposition over k[x_1^p, ..., x_n^p],
+    of rank p^n / |B| = p^(n - dim ker c)."""
     p, n = m.p, m.n
-    numer = [0] * (max(sum(b) for b in m.B) + 1 if m.B else 1)
+    numer = [0] * (max(map(sum, m.B)) + 1)
     for b in m.B:
         numer[sum(b)] += 1
     coeffs = expand_over_pth_powers(numer, p, n, max_degree)
-    total = p**n
-    rank = Fraction(total, len(m.B))
-    notes = ()
-    if rank.denominator != 1:
-        notes = ("free-module hypothesis unverified: |B| does not divide p^n",)
     return SeriesData(
         numerator=numer,
         coefficients=coeffs,
-        rank=str(rank),
-        rank_exact=rank.denominator == 1,
-        notes=notes,
+        rank=str(p**n // len(m.B)),
     )
 
 

@@ -27,6 +27,7 @@ from .center import (
     find_beta,
     gorenstein_skew,
     gorenstein_via_theorem38,
+    require_skew3,
     skew_monoid,
 )
 from .deriv import is_unimodular
@@ -177,11 +178,14 @@ def cmd_center(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
     max_degree = 3 * struct.p if args.max_degree is None else args.max_degree
     reports = {}
+    # every size check before either engine computes: the kernel cap,
+    # then the oracle's column cap, and only then the monoid's series
     if args.engine in ("monoid", "both"):
         m = skew_monoid(_skew_matrix_of(struct), args.limits)
-        reports["monoid"] = center_generators_skew(m, max_degree)
     if args.engine in ("oracle", "both"):
         reports["oracle"] = center_oracle(struct, max_degree, args.limits)
+    if args.engine in ("monoid", "both"):
+        reports["monoid"] = center_generators_skew(m, max_degree)
     if args.engine == "both":
         agree = reports["monoid"].hilbert == reports["oracle"].hilbert
         payload = {
@@ -203,7 +207,7 @@ def cmd_center(args) -> int:
 
 def cmd_gorenstein(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
-    m = skew_monoid(_skew_matrix_of(struct))
+    m = skew_monoid(_skew_matrix_of(struct), args.limits)
     stanley, witness = gorenstein_skew(m)
     thm38 = gorenstein_via_theorem38(m)
     beta = find_beta(m)
@@ -242,18 +246,19 @@ def _matrix_from_upper(p: int, n: int, upper) -> SkewMatrix:
 def cmd_classify(args) -> int:
     require_prime(args.p)
     if args.matrix:
-        rows = json.loads(args.matrix)
-        label = classify_skew3(SkewMatrix.from_rows(args.p, rows))
+        c = SkewMatrix.from_rows(args.p, json.loads(args.matrix))
+        require_skew3(c)  # before its monoid meets the kernel cap
+        label = classify_skew3(skew_monoid(c, args.limits))
         _emit(args, {"schema": SCHEMA, "case": label}, [f"case: {label}"])
         return 0
     args.limits.check("candidates", args.p**3, "matrices to classify")
     counts: dict[str, int] = {}
     mismatches = []
     for upper in _upper_tuples(args.p, 3):
-        c = _matrix_from_upper(args.p, 3, upper)
-        label = classify_skew3(c)
+        m = skew_monoid(_matrix_from_upper(args.p, 3, upper), args.limits)
+        label = classify_skew3(m)
         counts[label] = counts.get(label, 0) + 1
-        gor, _ = gorenstein_skew(skew_monoid(c))
+        gor, _ = gorenstein_skew(m)
         if gor != (label != "NotGorenstein"):
             mismatches.append(upper)
     payload = {
@@ -364,7 +369,7 @@ def _survey_row(p: int, n: int, upper, limits: Limits) -> dict:
     thm38 = gorenstein_via_theorem38(m)
     uni = is_unimodular(struct)
     order = log_ozone_group(struct, 1, limits).order
-    label = classify_skew3(c) if (n == 3 and p > 3) else None
+    label = classify_skew3(m) if (n == 3 and p > 3) else None
     beta = find_beta(m)
     return {
         "upper": list(upper),

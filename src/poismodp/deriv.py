@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ArityMismatch, ModulusMismatch
 from .fieldpoly import MultiPoly
-from .linalg import coeff_matrix, derivation_matrix
+from .linalg import coeff_matrix, derivation_matrix, polys
 
 if TYPE_CHECKING:
     from .structure import PoissonStructure
@@ -46,15 +46,8 @@ class Derivation:
     @classmethod
     def from_matrix(cls, p: int, mat) -> "Derivation":
         """Degree-0 derivation with x_i |-> sum_j mat[i][j] x_j."""
-        mat = np.asarray(mat, dtype=np.int64) % p
-        n = mat.shape[0]
-        images = []
-        for i in range(n):
-            images.append(
-                MultiPoly(p, n, {tuple(int(k == j) for k in range(n)): int(mat[i, j])
-                                 for j in range(n) if mat[i, j] % p})
-            )
-        return cls(p, n, images)
+        n = len(mat)
+        return cls(p, n, polys(mat, p, n, (1,)))
 
     def __call__(self, f: MultiPoly) -> MultiPoly:
         return apply_derivation(self, f)

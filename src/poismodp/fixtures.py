@@ -121,7 +121,7 @@ def check_regular_center_example() -> list[str]:
     _expect(problems,
             {format_poly(g) for g in reduced} == {"x1^5", "x2^5", "x3"},
             f"reduced generators mismatch: {[format_poly(g) for g in reduced]}")
-    _expect(problems, classify_skew3(c) == "Case2a", "classification mismatch")
+    _expect(problems, classify_skew3(m) == "Case2a", "classification mismatch")
     series = hilbert_skew(m, 6)
     _expect(problems, series.rank == str(p**2), f"rank mismatch: {series.rank}")
     group = log_ozone_group(struct, 1)

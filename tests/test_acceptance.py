@@ -145,7 +145,7 @@ def test_criterion_4_classification(exhaustive_scan):
     """Criterion 4: Gorenstein iff classified, Case2c iff unimodular (p=5)."""
     counts = {}
     for row in exhaustive_scan[5]:
-        label = classify_skew3(row["matrix"])
+        label = classify_skew3(row["monoid"])
         counts[label] = counts.get(label, 0) + 1
         gor, _ = gorenstein_skew(row["monoid"])
         assert gor == (label != "NotGorenstein"), row["upper"]

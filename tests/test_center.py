@@ -58,7 +58,7 @@ class TestSkewMonoid:
     def test_cyclic_p3(self):
         m = skew_monoid(SkewMatrix.from_rows(3, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
         assert m.B == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert m.I == [0, 1, 2] and m.J == []
+        assert m.I == [0, 1, 2]
         assert m.u == (1, 1, 1)
 
     def test_second_p3(self):
@@ -244,7 +244,7 @@ class TestHilbert:
         m = skew_monoid(SkewMatrix.from_rows(3, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
         series = hilbert_skew(m, 12)
         assert series.numerator == [1, 0, 0, 1, 0, 0, 1]
-        assert series.rank == "9" and series.rank_exact
+        assert series.rank == "9"
 
     def test_regular_example_rank(self):
         p = 5
@@ -269,38 +269,39 @@ class TestHilbert:
 
 class TestClassify:
     def test_case2a(self):
-        assert classify_skew3(upper3(5, (2, 0, 0))) == "Case2a"
+        assert classify_skew3(skew_monoid(upper3(5, (2, 0, 0)))) == "Case2a"
 
     def test_case2b(self):
         c = SkewMatrix.from_rows(5, [[0, 2, -2], [-2, 0, 0], [2, 0, 0]])
-        assert classify_skew3(c) == "Case2b"
+        assert classify_skew3(skew_monoid(c)) == "Case2b"
 
     def test_case2c_iff_unimodular(self):
         from poismodp.deriv import is_unimodular
 
         for u in itertools.product(range(5), repeat=3):
             c = upper3(5, u)
-            label = classify_skew3(c)
+            label = classify_skew3(skew_monoid(c))
             assert (label == "Case2c") == is_unimodular(from_skew_matrix(c))
 
     def test_gorenstein_iff_case(self):
         for u in itertools.product(range(5), repeat=3):
             c = upper3(5, u)
-            gor, _ = gorenstein_skew(skew_monoid(c))
-            assert gor == (classify_skew3(c) != "NotGorenstein")
+            m = skew_monoid(c)
+            gor, _ = gorenstein_skew(m)
+            assert gor == (classify_skew3(m) != "NotGorenstein")
 
     def test_permutation_needed(self):
         # the 2a pattern sitting on variables (1, 3)
         c = SkewMatrix.from_rows(5, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-        assert classify_skew3(c) == "Case2a"
+        assert classify_skew3(skew_monoid(c)) == "Case2a"
 
     def test_requires_p_gt_3(self):
         with pytest.raises(SmallCharacteristic):
-            classify_skew3(upper3(3, (1, 0, 0)))
+            classify_skew3(skew_monoid(upper3(3, (1, 0, 0))))
 
     def test_requires_n_3(self):
         with pytest.raises(WrongArity):
-            classify_skew3(SkewMatrix.from_rows(5, [[0, 1], [-1, 0]]))
+            classify_skew3(skew_monoid(SkewMatrix.from_rows(5, [[0, 1], [-1, 0]])))
 
 
 class TestOracle:

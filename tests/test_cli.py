@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from poismodp import cli, loz
+from poismodp import center, cli, loz
 from poismodp.cli import (
     _matrix_from_upper,
     _orbit_codes,
@@ -67,10 +67,26 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+@pytest.fixture
+def monoids(monkeypatch):
+    """The limits of every `skew_monoid` call, wherever it is made."""
+    calls = []
+    build = center.skew_monoid
+
+    def counting(c, limits=Limits()):
+        calls.append(limits)
+        return build(c, limits)
+
+    monkeypatch.setattr(center, "skew_monoid", counting)
+    monkeypatch.setattr(cli, "skew_monoid", counting)
+    return calls
+
+
 class TestGorenstein:
-    def test_circulant(self, capsys, circulant_p3):
+    def test_circulant(self, capsys, circulant_p3, monoids):
         code, data = run_json(capsys, ["gorenstein", "--algebra", circulant_p3])
         assert code == 0
+        assert len(monoids) == 1
         assert data["gorenstein"] is True
         assert data["witness"] == [2, 2, 2]
         assert data["theorem38"] is True
@@ -91,13 +107,14 @@ class TestCenter:
         assert code == 0
         assert data["hilbert"] == [1, 0, 0, 2, 0, 0, 3]
 
-    def test_both_engines_agree(self, capsys, circulant_p3):
+    def test_both_engines_agree(self, capsys, circulant_p3, monoids):
         code, data = run_json(
             capsys,
             ["center", "--algebra", circulant_p3, "--max-degree", "6",
              "--engine", "both"],
         )
         assert code == 0
+        assert len(monoids) == 1
         assert data["hilbert_agree"] is True
         assert data["monoid"]["hilbert"] == data["oracle"]["hilbert"]
 
@@ -144,9 +161,10 @@ class TestClassify:
         assert code == 0
         assert data["case"] == "Case2a"
 
-    def test_all(self, capsys):
+    def test_all(self, capsys, monoids):
         code, data = run_json(capsys, ["classify-skew3", "--p", "5", "--all"])
         assert code == 0
+        assert len(monoids) == 125  # one per matrix
         assert data["counts"] == {
             "Case2a": 12,
             "Case2b": 12,
@@ -158,17 +176,26 @@ class TestClassify:
     def test_nonprime_rejected(self, capsys):
         assert main(["classify-skew3", "--p", "6", "--all"]) == 2
 
+    def test_shape_checked_before_the_monoid(self, capsys, monoids):
+        # its monoid would have 5^9 > 10^6 kernel vectors
+        rows = json.dumps([[0] * 9] * 9)
+        assert main(["classify-skew3", "--p", "5", "--matrix", rows]) == 2
+        assert capsys.readouterr().err == "error: classification needs n=3, got n=9\n"
+        assert monoids == []
+
 
 class TestTooLarge:
     """Inputs too large to compute are usage errors at once.  A prime with
     (p-1)^2 >= 2^63 fails before trial division, which takes minutes at
     2^61 - 1.  `classify-skew3 --all` checks its p^3 matrices against the
-    candidate cap before it enumerates them."""
+    candidate cap before it enumerates them, and from p = 101 on the
+    first one, the zero matrix, has a box over the kernel cap."""
 
     @pytest.mark.parametrize("command, p, message", [
         ("classify-skew3", 2**61 - 1, "(p-1)^2 must be below 2^63"),
         ("center", 2**61 - 1, "(p-1)^2 must be below 2^63"),
         ("classify-skew3", 3037000493, "matrices to classify, cap is 10000000"),
+        ("classify-skew3", 101, "1030301 kernel vectors, cap is 1000000"),
     ])
     def test_rejected_at_once(self, capsys, tmp_path, command, p, message):
         if command == "center":
@@ -184,6 +211,18 @@ class TestTooLarge:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    def test_both_engines_checked_before_either_computes(self, capsys, tmp_path):
+        # the oracle's column check comes before the monoid's series,
+        # which takes about a second per 10^6 degrees to expand
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({"p": 5, "bracket": {
+            "kind": "skew", "matrix": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]}}))
+        start = time.perf_counter()
+        assert main(["center", "--algebra", str(path), "--engine", "both",
+                     "--max-degree", "10000000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
 
 
 class TestLoz:
@@ -563,6 +602,14 @@ class TestSurvey:
         monkeypatch.setattr(cli, "_survey_row", counting)
         assert main(["survey", "--p", "3", "--n", "4", "--format", "json"]) == 0
         assert len(calls) == 30
+
+    def test_one_monoid_per_row(self, capsys, monoids):
+        # the classification reads the row's monoid, under the survey's limits
+        code, data = run_json(capsys, ["survey", "--p", "5", "--n", "3",
+                                       "--cap-candidates", "1000"])
+        assert code == 0 and data["problems"] == []
+        assert len(monoids) == len(set(_orbit_codes(5, 3).tolist()))
+        assert {limits.candidates for limits in monoids} == {1000}
 
     def test_paper_p5_n4(self, capsys):
         # unimodular skew => Gorenstein center, and |loz| = p^n / |B|, on

@@ -227,6 +227,8 @@ class TestDerivationArithmetic:
     def test_matrix_roundtrip(self):
         d = Derivation(5, 2, [parse_poly("x1 + 2*x2", 5, 2), parse_poly("3*x1", 5, 2)])
         assert Derivation.from_matrix(5, d.matrix()) == d
+        # entries are read mod p, whatever their representative
+        assert Derivation.from_matrix(5, [[6, -3], [13, -10]]) == d
 
     def test_matrix_on_degree_needs_degree_zero(self):
         z = MultiPoly.zero(5, 3)
