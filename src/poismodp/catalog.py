@@ -89,8 +89,6 @@ def elliptic_lambdas(p: int) -> list[int]:
 
 def _make_form(form_id: str, p: int, lam: Optional[int] = None) -> PotentialForm:
     if form_id == "Elliptic":
-        if lam is None:
-            raise PoisError("Elliptic form needs a lambda parameter")
         lam %= p
         if pow(lam, 3, p) == (p - 1) % p:
             raise PoisError(f"lambda={lam} violates lambda^3 != -1 mod {p}")

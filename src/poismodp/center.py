@@ -138,10 +138,11 @@ def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> C
 
 
 def gorenstein_skew(m: MonoidData) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Stanley criterion: the box has a componentwise maximal element."""
-    for b in m.B:
-        if all(all(x >= y for x, y in zip(b, other)) for other in m.B):
-            return True, b
+    """Stanley criterion: the box has a greatest element, which can only
+    be its componentwise maximum."""
+    top = tuple(map(max, zip(*m.B)))
+    if top in m.B:
+        return True, top
     return False, None
 
 
@@ -194,17 +195,16 @@ def classify_skew3(m: MonoidData) -> str:
     """Classify the 3x3 skew matrix m.c by the shape of its Gorenstein
     center, read from its monoid m.
 
-    Returns one of Case1, Case2a, Case2b, Case2c, NotGorenstein.  Case1
-    is a trivial kernel; the other cases are matched by brute force over
-    all six simultaneous row/column permutations.
+    Returns one of Case2a, Case2b, Case2c, NotGorenstein.  A 3x3 skew
+    matrix is singular, so its kernel is never trivial; the cases are
+    matched by brute force over all six simultaneous row/column
+    permutations.
     """
     c = m.c
     require_skew3(c)
     gor, _ = gorenstein_skew(m)
     if not gor:
         return "NotGorenstein"
-    if len(m.B) == 1:
-        return "Case1"
     if all(s == 0 for s in c.row_sums()):
         if not _matches_template(c, _template_2c):
             raise InternalCheckFailed("unimodular 3x3 skew matrix must match the cyclic form")
@@ -241,45 +241,35 @@ def hilbert_skew(m: MonoidData, max_degree: int) -> SeriesData:
 
 
 def expand_over_pth_powers(numerator: list[int], p: int, n: int, max_degree: int) -> list[int]:
-    """Coefficients of numerator / (1 - t^p)^n up to max_degree."""
-    out = []
-    for d in range(max_degree + 1):
-        total = 0
-        for s, c in enumerate(numerator):
-            if c and s <= d and (d - s) % p == 0:
-                k = (d - s) // p
-                total += c * comb(k + n - 1, n - 1)
-        out.append(total)
+    """Coefficients of numerator / (1 - t^p)^n up to max_degree: n
+    divisions by 1 - t^p, each a running sum within every residue class
+    of the degree mod p."""
+    out = numerator[: max(max_degree + 1, 0)]
+    out += [0] * (max_degree + 1 - len(out))
+    for _ in range(n):
+        for r in range(p):
+            out[r::p] = itertools.accumulate(out[r::p])
     return out
 
 
 def numerator_from_hilbert(hilbert: list[int], p: int, n: int) -> list[int]:
-    """Recover H(t) (1 - t^p)^n from the Hilbert coefficients.
+    """Recover H(t) (1 - t^p)^n from the Hilbert coefficients: n
+    multiplications by 1 - t^p, truncated, with trailing zeros dropped.
 
     Only trustworthy when the true numerator degree is at most
     len(hilbert) - 1 - n*p; callers should treat the tail with care.
     """
-    out = []
-    for d in range(len(hilbert)):
-        total = 0
-        for k in range(n + 1):
-            s = d - p * k
-            if s < 0:
-                break
-            total += (-1) ** k * comb(n, k) * hilbert[s]
-        out.append(total)
+    out = list(hilbert)
+    for _ in range(n):
+        out = [a - b for a, b in zip(out, [0] * p + out)]
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
 def _palindromic(numer: list[int]) -> bool:
-    trimmed = list(numer)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    if not trimmed:
-        return True
-    return trimmed == trimmed[::-1]
+    """For a numerator with no trailing zero."""
+    return numer == numer[::-1]
 
 
 def palindromic_numerator(hilbert: list[int], p: int, n: int) -> tuple[list[int], bool]:

@@ -399,10 +399,8 @@ class UniPoly:
         rem = list(self.coeffs)
         d = other.degree()
         inv = ff_inv(other.coeffs[-1], p)
-        while len(rem) - 1 >= d and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
+        # rem is trimmed, so rem[-1] leads
+        while len(rem) > d:
             factor = (rem[-1] * inv) % p
             shift = len(rem) - 1 - d
             for i, c in enumerate(other.coeffs):

@@ -531,18 +531,17 @@ def decomposable_witness(
     center = center_oracle(struct, max_degree, limits)
     for m in range(1, max_degree + 1):
         pairs, cols = graded_products(n, [f for _, f in blocks], center.graded_basis, m)
-        if len(pairs) < 2:
-            continue
         kernel = linalg.nullspace(cols, p)
         if not kernel:
             continue
-        # the pairs come block by block, so per_block is in block order
+        # the pairs come block by block, so per_block is in block order;
+        # a block's z are independent and A is a domain, so each block
+        # with a nonzero coefficient has a nonzero sum, and there are two
         per_block: dict[int, MultiPoly] = {}
         for c, (bi, z) in zip(kernel[0], pairs):
-            per_block[bi] = per_block.get(bi, MultiPoly.zero(p, n)) + z * int(c)
-        terms = [(zsum, *blocks[bi]) for bi, zsum in per_block.items() if not zsum.is_zero]
-        if len(terms) < 2:
-            continue
+            if c:
+                per_block[bi] = per_block.get(bi, MultiPoly.zero(p, n)) + z * int(c)
+        terms = [(zsum, *blocks[bi]) for bi, zsum in per_block.items()]
         rel = DecompositionRelation(degree=m, terms=terms)
         if not rel.total().is_zero:
             raise InternalCheckFailed("witness relation does not sum to zero")

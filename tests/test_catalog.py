@@ -63,6 +63,8 @@ class TestCatalogContents:
 
         with pytest.raises(PoisError):
             catalog_form(5, "Elliptic", lam=4)
+        with pytest.raises(PoisError, match="unknown catalog form 'Nope'"):
+            catalog_form(5, "Nope")
 
     def test_all_forms_unimodular(self):
         for form in potential_catalog(5):

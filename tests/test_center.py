@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -106,7 +109,42 @@ def test_box_matches_vector_loop_exhaustively(p, n):
         assert skew_monoid(c).B == box_by_vector_loop(c), upper
 
 
+def gorenstein_pairwise(m):
+    """Reference for `gorenstein_skew`: the first box vector at least
+    every other one, compared pair by pair."""
+    for b in m.B:
+        if all(all(x >= y for x, y in zip(b, other)) for other in m.B):
+            return True, b
+    return False, None
+
+
+def stanley_cases(rng):
+    """(p, n, upper): every 3x3 skew matrix at p = 3, 5 and 7, every 4x4
+    at p = 3, and 3000 seeded 5x5 at p = 3."""
+    cases = [(p, 3, u) for p in (3, 5, 7) for u in itertools.product(range(p), repeat=3)]
+    cases += [(3, 4, u) for u in itertools.product(range(3), repeat=6)]
+    cases += [(3, 5, tuple(rng.randrange(3) for _ in range(10))) for _ in range(3000)]
+    return cases
+
+
 class TestGorenstein:
+    def test_against_pairwise(self, rng):
+        for p, n, upper in stanley_cases(rng):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            m = skew_monoid(SkewMatrix.from_upper(p, n, dict(zip(pairs, upper))))
+            expected = gorenstein_pairwise(m)
+            assert gorenstein_skew(m) == expected, (p, n, upper)
+            # the box's order does not matter
+            shuffled = dataclasses.replace(m, B=rng.sample(m.B, len(m.B)))
+            assert gorenstein_skew(shuffled) == expected, (p, n, upper)
+
+    def test_linear_in_the_box(self):
+        # |B| = 47^3 = 103 823: the pairwise loop took seconds
+        m = skew_monoid(SkewMatrix.from_rows(47, [[0] * 3] * 3))
+        start = time.perf_counter()
+        assert gorenstein_skew(m) == (True, (46, 46, 46))
+        assert time.perf_counter() - start < 1
+
     def test_cyclic_witness(self):
         m = skew_monoid(SkewMatrix.from_rows(3, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
         assert gorenstein_skew(m) == (True, (2, 2, 2))
@@ -265,6 +303,53 @@ class TestHilbert:
         assert not palindromic_numerator(
             expand_over_pth_powers([1, 0, 0, 2], 3, 3, 12), 3, 3
         )[1]
+
+
+def expand_by_binomials(numerator, p, n, max_degree):
+    """Reference for `expand_over_pth_powers`: each coefficient summed
+    term by term, with 1 / (1 - t^p)^n = sum C(k + n - 1, n - 1) t^(pk)."""
+    out = []
+    for d in range(max_degree + 1):
+        out.append(sum(c * comb((d - s) // p + n - 1, n - 1)
+                       for s, c in enumerate(numerator) if s <= d and (d - s) % p == 0))
+    return out
+
+
+def numerator_by_binomials(hilbert, p, n):
+    """Reference for `numerator_from_hilbert`: each coefficient of
+    H(t) (1 - t^p)^n summed term by term, trailing zeros dropped."""
+    out = [sum((-1) ** k * comb(n, k) * hilbert[d - p * k]
+               for k in range(n + 1) if d - p * k >= 0) for d in range(len(hilbert))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def palindromic_trimmed(numer):
+    """Reference palindrome test, trailing zeros dropped first."""
+    trimmed = list(numer)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    return trimmed == trimmed[::-1]
+
+
+class TestSeriesAgainstBinomials:
+    def test_seeded(self, rng):
+        for _ in range(3000):
+            p, n, max_degree = rng.choice((2, 3, 5, 7, 11)), rng.randint(1, 5), rng.randint(0, 60)
+            numer = [rng.randint(-3, 3) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:  # palindromic with its middle
+                numer += numer[-2::-1]
+            coeffs = expand_over_pth_powers(numer, p, n, max_degree)
+            assert coeffs == expand_by_binomials(numer, p, n, max_degree), (numer, p, n)
+            # a series of a numerator, and an arbitrary one
+            for hilbert in (coeffs, [rng.randint(-5, 5) for _ in range(max_degree + 1)]):
+                expected = numerator_by_binomials(hilbert, p, n)
+                assert numerator_from_hilbert(hilbert, p, n) == expected, (hilbert, p, n)
+                assert palindromic_numerator(hilbert, p, n) == (
+                    expected, palindromic_trimmed(expected))
+        # no coefficients below degree 0
+        assert expand_over_pth_powers([1, 2, 3], 2, 2, -2) == expand_by_binomials([1, 2, 3], 2, 2, -2)
 
 
 class TestClassify:

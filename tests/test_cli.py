@@ -82,7 +82,40 @@ def monoids(monkeypatch):
     return calls
 
 
+def negate_theorem38(monkeypatch):
+    """Negate `gorenstein_via_theorem38` in the CLI where it decides."""
+    criterion = center.gorenstein_via_theorem38
+
+    def negated(m):
+        verdict = criterion(m)
+        return None if verdict is None else not verdict
+
+    monkeypatch.setattr(cli, "gorenstein_via_theorem38", negated)
+
+
+@pytest.fixture
+def negated_theorem38(monkeypatch):
+    negate_theorem38(monkeypatch)
+
+
+# broken cross-checks of `survey`: (patch, p, the problem it reports,
+# the rows it is reported for)
+SURVEY_BREAKS = {
+    "theorem38": (negate_theorem38, 3, "criteria disagree",
+                  lambda row: row["theorem38"] is not None),
+    "unimodular": (lambda mp: mp.setattr(cli, "is_unimodular", lambda struct: True), 3,
+                   "unimodular but not Gorenstein", lambda row: not row["gorenstein"]),
+    "beta": (lambda mp: mp.setattr(cli, "find_beta", lambda m: None), 5,
+             "beta missing despite n < p", lambda row: row["I_size"] > 0),
+}
+
+
 class TestGorenstein:
+    def test_mismatch_between_criteria(self, capsys, circulant_p3, negated_theorem38):
+        assert main(["gorenstein", "--algebra", circulant_p3]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "stanley: True witness: (2, 2, 2)", "theorem38: False", "MISMATCH between criteria"]
+
     def test_circulant(self, capsys, circulant_p3, monoids):
         code, data = run_json(capsys, ["gorenstein", "--algebra", circulant_p3])
         assert code == 0
@@ -172,6 +205,14 @@ class TestClassify:
             "NotGorenstein": 96,
         }
         assert data["mismatches"] == []
+
+    def test_mismatches_against_theorem38(self, capsys, negated_theorem38):
+        # the indicator-vector criterion decides every 3x3 matrix at p=5
+        code, data = run_json(capsys, ["classify-skew3", "--p", "5", "--all"])
+        assert code == 1
+        assert data["mismatches"] == [list(u) for u in _upper_tuples(5, 3)]
+        assert main(["classify-skew3", "--p", "5", "--all"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("MISMATCHES: [(0, 0, 0), ")
 
     def test_nonprime_rejected(self, capsys):
         assert main(["classify-skew3", "--p", "6", "--all"]) == 2
@@ -379,11 +420,13 @@ WRONG_TYPES = {
 
 
 def assert_usage_error(capsys, argv):
-    """Exit 2 with one `error:` line on stderr, not a traceback."""
+    """Exit 2 with one `error:` line on stderr, not a traceback; returns
+    that line."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    return err
 
 
 class TestMalformedInput:
@@ -406,14 +449,18 @@ class TestMalformedInput:
         assert_usage_error(capsys, ["classify-skew3", "--p", "5", "--matrix", matrix])
 
     @pytest.mark.parametrize("command", ["center", "loz", "gorenstein"])
-    @pytest.mark.parametrize("kind", ["directory", "not-utf-8", "missing"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8", "missing", "truncated"])
     def test_unreadable_algebra_file(self, capsys, tmp_path, command, kind):
         path = tmp_path / "algebra.json"
         if kind == "directory":
             path.mkdir()
         elif kind == "not-utf-8":
             path.write_bytes(b'{"p": 5, "vars": ["\xff"]}')
-        assert_usage_error(capsys, [command, "--algebra", str(path)])
+        elif kind == "truncated":
+            path.write_text('{"p": 5, "bracket": {"kind": "skew", "matrix": [[0, 1], [-1, 0]')
+        err = assert_usage_error(capsys, [command, "--algebra", str(path)])
+        if kind == "truncated":
+            assert err.startswith(f"error: invalid JSON in {path}: ")
 
     def test_duplicate_variable_names(self, capsys, tmp_path):
         # it used to load as {x1, x2} = x2^2, the last x winning
@@ -498,6 +545,7 @@ class TestCatalog:
 
     def test_small_characteristic(self, capsys):
         assert main(["catalog", "--p", "3"]) == 2
+        assert main(["catalog", "--p", "3", "--form", "Cube"]) == 2
 
     def test_elliptic_lambda(self, capsys):
         code, data = run_json(
@@ -555,6 +603,18 @@ class TestSurvey:
             for row in data["rows"] if row["box_size"] != 9
         ]
         assert len(data["problems"]) == 2
+
+    @pytest.mark.parametrize("name", sorted(SURVEY_BREAKS))
+    def test_cross_check_failures(self, capsys, monkeypatch, name):
+        # each cross-check, broken, is reported for every row it fails on
+        patch, p, problem, broken = SURVEY_BREAKS[name]
+        patch(monkeypatch)
+        code, data = run_json(capsys, ["survey", "--p", str(p), "--n", "3"])
+        assert code == 1
+        expected = [f"{problem}: {row['upper']}" for row in data["rows"] if broken(row)]
+        assert expected and data["problems"] == expected
+        assert main(["survey", "--p", str(p), "--n", "3"]) == 1
+        assert f"PROBLEM: {expected[-1]}" in capsys.readouterr().out.splitlines()
 
     def test_cap_reaches_group_search(self, capsys):
         # 5 matrices fit the cap; each degree-1 group search scans 6

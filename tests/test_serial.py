@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismodp.deriv import Derivation
-from poismodp.errors import ParseError
+from poismodp.errors import NonPrimeModulus, ParseError, require_prime
 from poismodp.fieldpoly import MultiPoly, monomials_upto_degree, parse_poly
 from poismodp.serial import dump_algebra, load_algebra
 from poismodp.structure import (
@@ -57,6 +57,9 @@ class TestLoad:
         }
         struct, _ = load_algebra(obj)
         assert struct.entry(0, 1) == parse_poly("x1^2", 5, 2)
+        obj["bracket"]["pairs"] = [{"i": 2, "j": 1, "value": "x1^2"}]
+        with pytest.raises(ParseError, match="pair indices 2,1 out of range"):
+            load_algebra(obj)
 
     def test_ore(self):
         obj = {
@@ -76,6 +79,9 @@ class TestLoad:
         assert struct.n == 2
         assert struct.entry(0, 1) == parse_poly("x1^2", 5, 2)
         assert names == ["x1", "x2"]
+        obj["bracket"]["base"]["p"] = 3
+        with pytest.raises(ParseError, match="ore base has a different modulus"):
+            load_algebra(obj)
 
     def test_jacobi_violations_rejected_on_load(self):
         obj = {
@@ -121,12 +127,17 @@ class TestLoad:
         obj["p"] = 6
         with pytest.raises(ParseError):
             load_algebra(obj)
+        for p in (1, "5"):
+            with pytest.raises(NonPrimeModulus):
+                require_prime(p)
 
     def test_bad_kind_rejected(self):
         obj = skew_obj()
         obj["bracket"] = {"kind": "mystery"}
         with pytest.raises(ParseError):
             load_algebra(obj)
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            load_algebra([])
 
     def test_var_count_mismatch(self):
         obj = skew_obj()

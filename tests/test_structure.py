@@ -120,6 +120,8 @@ class TestSkewMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSkewSymmetric):
             SkewMatrix.from_rows(5, [[0, 1], [1, 0]])
+        with pytest.raises(NotSkewSymmetric, match="not square"):
+            SkewMatrix.from_rows(5, [[0, 1], [-1]])
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(NotSkewSymmetric):
