@@ -12,7 +12,13 @@ from typing import Optional
 
 # center_oracle is not called here, but stays importable from catalog:
 # the layer spans of bench/spans.py are checked on this name
-from .center import center_oracle, graded_kernel, graded_span_dims, is_central  # noqa: F401
+from .center import (  # noqa: F401
+    center_oracle,
+    graded_kernel,
+    graded_span_dims,
+    independent_brackets,
+    is_central,
+)
 from .deriv import (
     Derivation,
     apply_derivation,
@@ -149,12 +155,15 @@ def verify_expected_center(
     """The center's Hilbert function vs that of the subalgebra generated
     by the expected center generators, degree by degree up to max_degree.
     Only the dimensions are compared: the center's graded kernels are
-    counted, never read back as polynomials."""
+    counted, never read back as polynomials.  Every expected generator is
+    checked central first, so the kernels take n - 1 brackets: the one
+    the first generator with a nonzero partial implies is dropped (see
+    `independent_brackets`)."""
     struct = form.structure()
     for g in form.expected_center_gens:
         if not is_central(struct, g):
             return False
-    images = [a.images for a in struct.ad]
+    images = independent_brackets(struct, form.expected_center_gens)
     hilbert = [len(kernel) for _, kernel in graded_kernel(form.p, 3, max_degree, images, limits)]
     dims, _ = graded_span_dims(
         form.p, 3, list(form.expected_center_gens), max_degree

@@ -108,10 +108,13 @@ def skew_monoid(c: SkewMatrix, limits: Limits = Limits()) -> MonoidData:
     return MonoidData(c=c, B=B, I=I, u=u)
 
 
-def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> CenterReport:
+def center_generators_skew(
+    m: MonoidData, max_degree: Optional[int] = None, limits: Limits = Limits()
+) -> CenterReport:
     """Generators {x_i^p} plus the box monomials; not claimed minimal.
 
     Every emitted generator is re-verified central against the bracket.
+    The series runs to max_degree, a length `hilbert_skew` checks.
     """
     p, n = m.p, m.n
     struct = from_skew_matrix(m.c)
@@ -121,7 +124,7 @@ def center_generators_skew(m: MonoidData, max_degree: Optional[int] = None) -> C
         if not is_central(struct, g):
             raise InternalCheckFailed(f"claimed generator {g} is not central")
     D = max_degree if max_degree is not None else 2 * p
-    series = hilbert_skew(m, D)
+    series = hilbert_skew(m, D, limits)
     gor, witness = gorenstein_skew(m)
     return CenterReport(
         engine="monoid",
@@ -225,9 +228,12 @@ class SeriesData:
     rank: str
 
 
-def hilbert_skew(m: MonoidData, max_degree: int) -> SeriesData:
+def hilbert_skew(m: MonoidData, max_degree: int, limits: Limits = Limits()) -> SeriesData:
     """Series data from the free decomposition over k[x_1^p, ..., x_n^p],
-    of rank p^n / |B| = p^(n - dim ker c)."""
+    of rank p^n / |B| = p^(n - dim ker c).  Its max_degree + 1
+    coefficients are listed, so they are checked first against
+    `Limits.kernel`, the cap on the box this engine already meets."""
+    limits.check("kernel", max_degree + 1, "series coefficients")
     p, n = m.p, m.n
     numer = [0] * (max(map(sum, m.B)) + 1)
     for b in m.B:
@@ -288,6 +294,20 @@ def is_central(struct: PoissonStructure, f: MultiPoly) -> bool:
     return all(struct.bracket_with_gen(i, f).is_zero for i in range(struct.n))
 
 
+def independent_brackets(struct: PoissonStructure, central) -> list:
+    """The image lists of the ad_{x_i} whose kernels cut out the center:
+    all n of them, less ad_{x_k} for the first g in `central`, a list of
+    elements known to be central, with a nonzero partial, and the first
+    such k.  Leibniz gives {g, f} = sum_i d_i g {x_i, f}, which is 0; so
+    when {x_i, f} = 0 for every i != k, d_k g {x_k, f} = 0, and A is a
+    domain: the equation {x_k, f} = 0 follows from the others."""
+    for g in central:
+        for k in range(struct.n):
+            if not g.partial(k).is_zero:
+                return [a.images for i, a in enumerate(struct.ad) if i != k]
+    return [a.images for a in struct.ad]
+
+
 # the source columns of one elimination in `graded_kernel`: a whole
 # degree's entries and its dense kernel are at most a few MiB
 _GROUP_COLUMNS = 1024
@@ -310,7 +330,10 @@ def graded_kernel(p: int, n: int, max_degree: int, derivations, limits: Limits):
     monomials of degree d, as each elimination finishes.  Their images
     are homogeneous of one degree h, so each maps A_d into A_{d+h-1};
     with no nonzero image, the kernel is all of A_d.  Every degree's
-    width is checked before the first elimination.
+    width is checked before the first elimination.  The center's
+    kernels are given only the brackets no known central element implies
+    (`independent_brackets`), so a potential's eliminations have a third
+    fewer rows.
 
     Consecutive degrees of at most `_GROUP_COLUMNS` columns in all (or a
     single degree) are eliminated as one matrix, from the basis of those
@@ -352,11 +375,21 @@ def center_oracle(
     component; otherwise the whole filtration piece of total degree
     <= max_degree is solved at once and per-degree entries report the
     dimensions of the filtration steps.
+
+    For a potential structure the potential, once `is_central` confirms
+    it, drops one bracket from every elimination: see
+    `independent_brackets`.
     """
+    central = []
+    if struct.provenance.kind == "potential":
+        # the potential is a Casimir of its Jacobian bracket
+        central = [struct.provenance.omega]
+        if not is_central(struct, central[0]):
+            raise InternalCheckFailed(f"the potential {central[0]} is not central")
+    images = independent_brackets(struct, central)
     if not struct.graded:
-        return _center_oracle_filtered(struct, max_degree, limits)
+        return _center_oracle_filtered(struct, max_degree, images, limits)
     p, n = struct.p, struct.n
-    images = [a.images for a in struct.ad]
     hilbert, graded_basis = graded_kernel_basis(p, n, max_degree, images, limits)
     numer, palin = palindromic_numerator(hilbert, p, n)
     return CenterReport(
@@ -370,12 +403,12 @@ def center_oracle(
     )
 
 
-def _center_oracle_filtered(struct, max_degree, limits) -> CenterReport:
+def _center_oracle_filtered(struct, max_degree, images, limits) -> CenterReport:
     p, n = struct.p, struct.n
     src = tuple(range(max_degree + 1))
     limits.check("columns", comb(max_degree + n, n), "filtration columns")
     # rows: the monomials the brackets reach, not all of a degree bound
-    kernel = linalg.nullspace(derivation_entries([a.images for a in struct.ad], n, src), p)
+    kernel = linalg.nullspace(derivation_entries(images, n, src), p)
     basis_polys = linalg.polys(kernel, p, n, src)
     # dims of the filtration steps Z cap A_{<=d}: corank of the kernel
     # basis restricted to the monomials of degree > d

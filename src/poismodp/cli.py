@@ -178,14 +178,14 @@ def cmd_center(args) -> int:
     struct, _ = load_algebra_file(args.algebra)
     max_degree = 3 * struct.p if args.max_degree is None else args.max_degree
     reports = {}
-    # every size check before either engine computes: the kernel cap,
-    # then the oracle's column cap, and only then the monoid's series
+    # the kernel cap and the oracle's column cap are checked before either
+    # engine computes; the monoid's series checks its length last
     if args.engine in ("monoid", "both"):
         m = skew_monoid(_skew_matrix_of(struct), args.limits)
     if args.engine in ("oracle", "both"):
         reports["oracle"] = center_oracle(struct, max_degree, args.limits)
     if args.engine in ("monoid", "both"):
-        reports["monoid"] = center_generators_skew(m, max_degree)
+        reports["monoid"] = center_generators_skew(m, max_degree, args.limits)
     if args.engine == "both":
         agree = reports["monoid"].hilbert == reports["oracle"].hilbert
         payload = {

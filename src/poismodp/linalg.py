@@ -341,6 +341,15 @@ def _inverses(v: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def monic_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """The rows of a (k, C) array of entries in [0, p), none of them
+    zero, each scaled so that its first nonzero entry is 1: on a basis of one
+    degree, whose lex-leading monomials come first, the monic multiples
+    of the polynomials the rows hold."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * _inverses(lead, p)[:, None] % p
+
+
 def rref_kernel(m: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
     """The basis `nullspace` gives of a matrix, one vector per row, from
     its rref m and the mask of its pivot columns (a `rref_stack` member)."""

@@ -215,12 +215,17 @@ def _scan_eigenspaces(struct, d, pder0, limits):
 
     Block i of the system depends only on row i of delta's matrix, so it
     is eliminated once per row value; a row value whose block has a
-    pivot in every column rules delta out, and only the remaining
-    candidates get the full system.  The blocks of all n rows have one
-    shape, so all rows' values are eliminated as one stack, and the
-    survivors' systems as another, each up to `_STACK_ENTRIES` entries
-    at a time.  The monic elements of the survivors' kernels count
-    against the candidate limit before any is built.
+    pivot in every column rules delta out.  The blocks of all n rows
+    have one shape, so all rows' values are eliminated as one stack, up
+    to `_STACK_ENTRIES` entries at a time, and the kernel K of each live
+    row-0 value is kept.  A surviving delta's solutions are then yK for
+    the y in the kernel of its other n - 1 blocks times K^T, a
+    ((n - 1) |A_{d+1}| x dim K) matrix: the survivors' matrices are
+    eliminated as one stack per chunk of survivors, in candidate order.
+    With K in `nullspace` form, yK is too (see `_survivor_kernels`).
+    The monic elements of the survivors' kernels count against the
+    candidate limit before any is built; each chunk's are made monic in
+    numpy and read back as polynomials at once.
     """
     p, n = struct.p, struct.n
     k = len(pder0)
@@ -232,9 +237,14 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     # in `values`, row i's from starts[i] on
     rows = pder0.transpose(1, 0, 2)  # rows[i]: row i of every basis derivation
     reduced = [linalg.rref(r, p) for r in rows]
+    weights = [p ** np.arange(len(cols) - 1, -1, -1) for _, cols in reduced]
     values = np.concatenate([linalg.span(m[: len(cols)], p) for m, cols in reduced])
     starts = np.cumsum([0] + [p ** len(cols) for _, cols in reduced])
     dead = np.zeros(len(values), dtype=bool)
+    # the kernels of the live row-0 values: that of value v is
+    # kernels0[slot[v]]; slot 0, an empty kernel, is that of the dead ones
+    kernels0 = [np.zeros((0, brackets.shape[2]), dtype=np.int64)]
+    slot = np.zeros(starts[1], dtype=np.int64)
     for part in _chunks(len(values), brackets.shape[1:]):
         # minus the multiplication by each value's linear form, and each
         # row's bracket block added into its values' slice, in place
@@ -244,34 +254,70 @@ def _scan_eigenspaces(struct, d, pder0, limits):
             lo, hi = max(starts[i], part.start), min(starts[i + 1], part.stop)
             if lo < hi:
                 blocks[lo - part.start : hi - part.start] += brackets[i]
-        dead[part] = linalg.rref_stack(blocks, p)[1].all(axis=1)
+        m, pivots = linalg.rref_stack(blocks, p)
+        dead[part] = pivots.all(axis=1)
+        for v in range(part.start, min(part.stop, starts[1])):
+            if not dead[v]:
+                slot[v] = len(kernels0)
+                kernels0.append(linalg.rref_kernel(m[v - part.start], pivots[v - part.start], p))
     # candidate g is the coefficient vector _digits(g) of itertools.product
     # order; p^k passed the cap (10^7 by default), so k*(p-1)^2 and the
     # row codes (< p^rank <= p^k) are far below 2^63.  Each alive
     # candidate's code is read off its digits, a chunk at a time
     alive = np.ones(p**k, dtype=bool)
     for i, (_, cols) in enumerate(reduced):
-        weights = p ** np.arange(len(cols) - 1, -1, -1)
         row_dead = dead[starts[i] : starts[i + 1]]
         for start in range(0, p**k, _FILTER_CANDIDATES):
             g = start + np.flatnonzero(alive[start : start + _FILTER_CANDIDATES])
-            alive[g] = ~row_dead[_digits(g, p, k) @ rows[i][:, cols] % p @ weights]
+            alive[g] = ~row_dead[_digits(g, p, k) @ rows[i][:, cols] % p @ weights[i]]
+    dims0 = np.array([len(kernel) for kernel in kernels0])
+    padded0 = np.zeros((len(kernels0), dims0.max(), brackets.shape[2]), dtype=np.int64)
+    for s, kernel in enumerate(kernels0):
+        padded0[s, : len(kernel)] = kernel
     found = []
     elements = 0
     survivors = np.flatnonzero(alive)
     for part in _chunks(len(survivors), brackets.shape):
         D = np.tensordot(_digits(survivors[part], p, k), pder0, 1) % p
-        systems = brackets - np.tensordot(D, mults, 1)  # [b, i]: block i of D[b]
-        m, pivots = linalg.rref_stack(systems.reshape(len(D), -1, brackets.shape[2]), p)
-        for b in (~pivots.all(axis=1)).nonzero()[0]:
-            kernel = linalg.rref_kernel(m[b], pivots[b], p)
+        slots = slot[D[:, 0, reduced[0][1]] @ weights[0]]
+        solutions, deltas = [], []
+        for b, kernel in _survivor_kernels(brackets, mults, D, padded0[slots], dims0[slots], p):
             elements += (p ** len(kernel) - 1) // (p - 1)
             limits.check("candidates", elements, f"normal elements at degree {d}")
-            delta = Derivation.from_matrix(p, D[b])
-            combos = _projective_vectors(p, len(kernel))
-            found.extend((f.monic(), delta)
-                         for f in linalg.polys(combos @ kernel % p, p, n, (d,)))
+            solutions.append(_projective_vectors(p, len(kernel)) @ kernel % p)
+            deltas += [Derivation.from_matrix(p, D[b])] * len(solutions[-1])
+        if solutions:
+            monic = linalg.monic_rows(np.concatenate(solutions), p)
+            found.extend(zip(linalg.polys(monic, p, n, (d,)), deltas))
     return found
+
+
+def _survivor_kernels(brackets, mults, D, K, dims, p):
+    """(b, kernel) for each derivation D[b] of a stack whose system on
+    the degree-d component has a nonzero kernel, in stack order: the
+    kernel's `nullspace` basis, one vector per row.
+
+    K[b] holds the `nullspace` basis of the kernel of D[b]'s row-0 block
+    in its first dims[b] rows, and zero rows below them.  The kernel is
+    yK[b] for the y in the kernel of blocks 1..n-1 times K[b]^T, all
+    eliminated as one stack.  A zero row of K[b] gives a zero column,
+    which stays zero and is no pivot, so the first dims[b] columns of the
+    rref are that of D[b]'s own matrix.  In `nullspace` form a basis
+    vector ends with a 1 at its free column and is 0 at the other free
+    columns; y is, and so are the rows of K[b], so yK[b] is too, with the
+    free columns of K[b]'s rows j for y's free j: it is the kernel's
+    `nullspace` basis, which is unique."""
+    width = dims.max()
+    K = K[:, :width]
+    systems = brackets[1:] - np.tensordot(D[:, 1:], mults, 1)  # entries in (-p, p)
+    # a product sums |A_d| <= Limits.columns terms below p^2, and p^k passed
+    # the candidate cap: exact in int64
+    stack = (systems @ K.transpose(0, 2, 1)[:, None]).reshape(len(D), -1, width)
+    m, pivots = linalg.rref_stack(stack, p)
+    own = np.arange(width) < dims[:, None]
+    for b in (own & ~pivots).any(axis=1).nonzero()[0]:
+        y = linalg.rref_kernel(m[b, :, : dims[b]], pivots[b, : dims[b]], p)
+        yield b, y @ K[b, : dims[b]] % p
 
 
 def enumerate_normal(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import SEED
 from poismodp import linalg
 from poismodp.center import (
+    _center_oracle_filtered,
     center_generators_skew,
     center_oracle,
     classify_skew3,
@@ -25,6 +26,7 @@ from poismodp.center import (
     graded_products,
     graded_span_dims,
     hilbert_skew,
+    independent_brackets,
     is_central,
     numerator_from_hilbert,
     palindromic_numerator,
@@ -36,6 +38,7 @@ from poismodp.catalog import potential_catalog
 from poismodp.errors import (
     CapExceeded,
     DegreeBoundTooLarge,
+    InternalCheckFailed,
     Limits,
     PoisError,
     SmallCharacteristic,
@@ -45,6 +48,7 @@ from poismodp.fieldpoly import MultiPoly, format_poly, monomials_of_degree, pars
 from poismodp.linalg import coeff_matrix
 from poismodp.loz import log_ozone_group
 from poismodp.structure import (
+    Provenance,
     SkewMatrix,
     explicit_structure,
     from_potential,
@@ -269,6 +273,15 @@ class TestReduceGenerators:
 
 
 class TestHilbert:
+    def test_series_length_cap(self):
+        # max_degree + 1 coefficients, against the kernel cap
+        m = skew_monoid(upper3(5, (1, 4, 1)))
+        assert len(hilbert_skew(m, 10, Limits(kernel=11)).coefficients) == 11
+        with pytest.raises(CapExceeded, match="^11 series coefficients, cap is 10$"):
+            hilbert_skew(m, 10, Limits(kernel=10))
+        with pytest.raises(CapExceeded):
+            center_generators_skew(m, 10, Limits(kernel=10))
+
     def test_zero_matrix_full_ring(self):
         p = 3
         m = skew_monoid(SkewMatrix.from_rows(p, [[0, 0], [0, 0]]))
@@ -571,6 +584,89 @@ class TestGradedKernel:
         with pytest.raises(DegreeBoundTooLarge) as raised:
             next(graded_kernel(5, 3, 10**5, [a.images for a in s.ad], Limits()))
         assert str(raised.value) == "5050 columns at degree 99, cap is 5000"
+
+
+def implied_bracket_cases():
+    """(label, structure, central elements, max_degree): every catalog form
+    at p = 5, 7 and 11 with its expected generators, 4 seeded cubic
+    potentials at each of those p with the potential, Cube with the
+    potential, whose only nonzero partial is d_1, and a potential in
+    which x1 does not occur, so that d_1 of it is 0.  Degrees up to 3p,
+    or 2p at p = 11."""
+    rng = random.Random(SEED)
+    cases = []
+    for p in (5, 7, 11):
+        top = 2 * p if p == 11 else 3 * p
+        for form in potential_catalog(p):
+            cases.append((f"{form.label} p={p}", form.structure(),
+                          form.expected_center_gens, top))
+        for t in range(4):
+            omega = MultiPoly(p, 3, {e: rng.randrange(p) for e in monomials_of_degree(3, 3)})
+            cases.append((f"random{t} p={p}", from_potential(omega), [omega], top))
+    for text in ("x1^3", "x2^3 + x2*x3^2 + 3*x3^3"):
+        omega = parse_poly(text, 7, 3)
+        cases.append((text, from_potential(omega), [omega], 21))
+    return cases
+
+
+class TestImpliedBracket:
+    """A known central element g with d_k g != 0 makes {x_k, f} = 0 follow
+    from the other brackets, so the kernel of n - 1 of them is the
+    center: the same space, given by the same basis, as that of all n."""
+
+    @pytest.mark.parametrize("label, s, central, top", implied_bracket_cases(),
+                             ids=[case[0] for case in implied_bracket_cases()])
+    def test_same_kernels(self, label, s, central, top):
+        assert all(is_central(s, g) for g in central)
+        every = [a.images for a in s.ad]
+        fewer = independent_brackets(s, central)
+        assert len(fewer) == 2 or all(g.partial(k).is_zero for g in central for k in range(3))
+        for (d, kernel), (_, ref) in zip(graded_kernel(s.p, 3, top, fewer, Limits()),
+                                         graded_kernel(s.p, 3, top, every, Limits()),
+                                         strict=True):
+            # equal bases of one row space; the nullspace basis of a space
+            # is unique, so this is the row spaces' equality
+            assert kernel.tolist() == ref.tolist(), d
+
+    def test_dropped_bracket(self):
+        p = 7
+        cube = from_potential(parse_poly("x1^3", p, 3))
+        # x1 is central, and d_1 is the only nonzero partial of x1^3
+        for central in ([MultiPoly.variable(p, 3, 0)], [cube.provenance.omega]):
+            assert independent_brackets(cube, central) == [cube.ad[1].images,
+                                                           cube.ad[2].images]
+        no_x1 = from_potential(parse_poly("x2^3 + x2*x3^2", p, 3))
+        assert independent_brackets(no_x1, [no_x1.provenance.omega]) == [
+            no_x1.ad[0].images, no_x1.ad[2].images]
+        # p-th powers have no nonzero partial: every bracket is kept
+        powers = [MultiPoly.variable(p, 3, i) ** p for i in range(3)]
+        assert independent_brackets(cube, powers) == [a.images for a in cube.ad]
+
+    def test_potential_confirmed_central(self):
+        s = from_potential(parse_poly("x1^2*x2", 7, 3))
+        # {x1, x3^3} = 3 x3^2 {x1, x3} = -3 x1^2 x3^2
+        s.provenance = Provenance(kind="potential", omega=parse_poly("x3^3", 7, 3))
+        with pytest.raises(InternalCheckFailed, match="not central"):
+            center_oracle(s, 3)
+
+    def test_oracle_drops_one_bracket(self, monkeypatch):
+        calls = []
+        entries = linalg.derivation_entries
+        monkeypatch.setattr("poismodp.center.derivation_entries",
+                            lambda *args: calls.append(len(args[0])) or entries(*args))
+        center_oracle(from_potential(parse_poly("x1^2*x2 + x1*x2^2", 7, 3)), 8)
+        center_oracle(from_potential(parse_poly("x1^2*x2 + x3", 7, 3)), 4)  # not graded
+        center_oracle(from_skew_matrix(upper3(7, (1, 2, 3))), 8)
+        assert calls == [2, 2, 3]
+
+    def test_filtration_with_every_bracket(self):
+        # not graded: the whole filtration piece, with n - 1 brackets
+        # and with all n, has one kernel basis
+        s = from_potential(parse_poly("x1^2*x2 + x2*x3 + x3", 5, 3))
+        every = _center_oracle_filtered(s, 6, [a.images for a in s.ad], Limits())
+        report = center_oracle(s, 6)
+        assert report.hilbert == every.hilbert
+        assert [f.key() for f in report.generators] == [f.key() for f in every.generators]
 
 
 class TestOracleAgainstDefinition:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poismodp import linalg
+from poismodp import linalg, loz
 from poismodp.catalog import catalog_form, potential_catalog
 from poismodp.center import UNSTABLE_RANK_NOTE, bracket_matrices, center_oracle
 from poismodp.deriv import Derivation, apply_derivation, euler
@@ -177,7 +177,8 @@ class TestEigenspaceStacks:
                     == keys(per_row_value_scan(s, d, pder0))), d
 
     # a budget of 1 entry makes chunks of one matrix; 900 makes chunks of
-    # two 45 x 10 survivor systems at degree 3; 1050 makes row-filter
+    # two survivors at degree 3, whose 45 x 10 systems are eliminated as
+    # 30 x dim K stacks on their row-0 kernels K; 1050 makes row-filter
     # chunks of seven 15 x 10 blocks there, so that the first of skew
     # (2, 2, 0), whose rows span 5, 25 and 25 values, holds values of
     # rows 0 and 1; 130 makes the division scan's chunks at degree 1
@@ -196,7 +197,63 @@ class TestEigenspaceStacks:
         monkeypatch.setattr("poismodp.loz._STACK_ENTRIES", budget)
         assert [keys(enumerate_normal(s, 3)) for s in structures] == expected
         assert all(b == 1 or b * r * c <= budget for b, r, c in shapes)
-        assert max(b for b, r, c in shapes if (r, c) == (45, 10)) == max(1, budget // 450)
+        assert max(b for b, r, c in shapes if r == 30 and c <= 10) == max(1, budget // 450)
+
+
+    def test_two_variables(self, monkeypatch):
+        # n = 2: a survivor's system on its row-0 kernel K is the one
+        # other block times K^T
+        s = from_skew_matrix(SkewMatrix.from_rows(5, [[0, 2], [-2, 0]]))
+        pder0 = pder0_matrix_space(s)
+        assert_paths_agree(s, (1, 2, 3, 4))
+        shapes = []
+        kernels = loz._survivor_kernels
+
+        def record(brackets, mults, D, K, dims, p):
+            shapes.append((brackets.shape[1], K.shape[2], dims.max()))
+            return kernels(brackets, mults, D, K, dims, p)
+
+        monkeypatch.setattr("poismodp.loz._survivor_kernels", record)
+        for d in (1, 2, 3, 4):
+            assert (keys(_scan_eigenspaces(s, d, pder0, Limits()))
+                    == keys(per_row_value_scan(s, d, pder0))), d
+        assert [rows for rows, _, _ in shapes] == [3, 4, 5, 6]
+        assert all(width <= columns for _, columns, width in shapes)
+
+    def test_row_0_span_is_zero(self):
+        # the diagonal derivations with x1 |-> 0: row 0 of every candidate
+        # is 0, so row 0 has one value, whose block is ad_{x1} alone
+        s = skew3(5, (2, 2, 0))
+        pder0 = np.zeros((2, 3, 3), dtype=np.int64)
+        pder0[0, 1, 1] = pder0[1, 2, 2] = 1
+
+        def in_span(delta):
+            m = delta.matrix() % 5
+            return m[0, 0] == 0 and not (m - np.diag(np.diag(m))).any()
+
+        for d in (1, 2, 3):
+            found = keys(_scan_eigenspaces(s, d, pder0, Limits()))
+            assert found == keys(per_row_value_scan(s, d, pder0)), d
+            assert set(found) == {(f.key(), delta.key())
+                                  for f, delta in _scan_division(s, d, Limits())
+                                  if in_span(delta)}, d
+            assert found, d  # x1^d, with x2, x3 |-> -2 x2, -2 x3 times d
+
+    def test_one_chunk_of_several_kernel_dimensions(self, monkeypatch):
+        # at degree 3 the 64 survivors of skew (2, 2, 0) have row-0 kernels
+        # of dimension 1 to 4, padded with zero rows to 4 in one stack
+        s = skew3(5, (2, 2, 0))
+        pder0 = pder0_matrix_space(s)
+        dims = []
+        kernels = loz._survivor_kernels
+        monkeypatch.setattr(
+            "poismodp.loz._survivor_kernels",
+            lambda brackets, mults, D, K, d, p: dims.append(d) or kernels(
+                brackets, mults, D, K, d, p))
+        assert (keys(_scan_eigenspaces(s, 3, pder0, Limits()))
+                == keys(per_row_value_scan(s, 3, pder0)))
+        [chunk] = dims
+        assert len(chunk) == 64 and sorted(set(chunk.tolist())) == [1, 2, 3, 4]
 
 
 class TestProjectiveVectors:
