@@ -315,11 +315,14 @@ _GROUP_COLUMNS = 1024
 
 def degree_widths(n: int, max_degree: int, limits: Limits) -> list[int]:
     """C(d + n - 1, n - 1), the monomials of degree d, for d up to
-    max_degree, each checked against `Limits.columns`."""
+    max_degree, each checked against `Limits.columns`, and so is the
+    number of degrees so far: every degree has a column, and one
+    variable has only one per degree, which no width check stops."""
     widths = []
     for d in range(max_degree + 1):
         widths.append(comb(d + n - 1, n - 1))
         limits.check("columns", widths[-1], f"columns at degree {d}")
+        limits.check("columns", d + 1, "degrees")
     return widths
 
 
@@ -451,43 +454,61 @@ def _check_generators(gens: list[MultiPoly]) -> None:
         raise PoisError("subalgebra generators must be homogeneous of degree >= 1")
 
 
+def _tagged_products(n: int, gens: list[MultiPoly], bases: dict, e: int):
+    """The products g_i h of degree e, generator by generator, with h in
+    `bases`, a tagged family {degree: [(tag, element)]}, tagged at most i;
+    each tagged i.  Returns them with their coefficient matrix on the
+    monomials of degree e, one column per product."""
+    tagged = [(i, g * h) for i, g in enumerate(gens)
+              for t, h in bases.get(e - g.degree(), []) if t <= i]
+    return tagged, coeff_matrix([f for _, f in tagged], n, (e,))
+
+
 def _extend_span(p: int, n: int, gens: list[MultiPoly], bases: dict, d: int) -> None:
     """Extend `bases`, the subalgebra generated by `gens` in degrees
-    0..len(bases)-1, up to degree d - 1: each new degree is the rref of
-    the `graded_products` of gens with the degrees below it."""
+    0..len(bases)-1 as a tagged family, up to degree d - 1: each new
+    degree keeps the `_tagged_products` that are independent of those
+    before them, the pivot columns of one rref.  The products come in
+    generator order, so by induction on the degree the elements tagged
+    at most i span the piece of F_p[g_0..g_i], as every monomial in
+    those generators with last one g_i is g_i times one in g_0..g_i."""
     for e in range(len(bases), d):
-        red, pivots = linalg.rref(graded_products(n, gens, bases, e)[1].T, p)
-        bases[e] = linalg.polys(red[: len(pivots)], p, n, (e,))
+        tagged, mat = _tagged_products(n, gens, bases, e)
+        bases[e] = [tagged[c] for c in linalg.rref(mat, p)[1]] if tagged else []
 
 
 def graded_span_dims(
     p: int, n: int, gens: list[MultiPoly], max_degree: int
 ) -> tuple[list[int], dict[int, list[MultiPoly]]]:
     """Degreewise dimensions and bases of the subalgebra generated by
-    homogeneous elements of positive degree."""
+    homogeneous elements of positive degree: each degree's basis is the
+    products g_i h that `_extend_span` keeps, h in the basis of a lower
+    degree and built from g_0..g_i only."""
     _check_generators(gens)
-    bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
+    bases: dict[int, list] = {0: [(-1, MultiPoly.const(p, n, 1))]}
     _extend_span(p, n, gens, bases, max_degree + 1)
-    return [len(bases[d]) for d in range(max_degree + 1)], bases
+    return ([len(bases[d]) for d in range(max_degree + 1)],
+            {d: [f for _, f in basis] for d, basis in bases.items()})
 
 
 def reduce_generators(p: int, n: int, gens: list[MultiPoly]) -> list[MultiPoly]:
     """Drop constants and generators expressible in lower-sorted ones;
     the others must be homogeneous.  Optional post-pass, not minimality
     in any stronger sense.  A generator is dropped when it lies in the
-    span of the `graded_products` of the ones kept with their
+    span of the `_tagged_products` of the ones kept with their
     subalgebra, built alongside in ascending degree."""
     ordered = sorted((g for g in gens if not g.is_constant()), key=lambda f: f.sort_key())
     _check_generators(ordered)
     kept: list[MultiPoly] = []
-    bases: dict[int, list[MultiPoly]] = {0: [MultiPoly.const(p, n, 1)]}
+    bases: dict[int, list] = {0: [(-1, MultiPoly.const(p, n, 1))]}
     for g in ordered:
         d = g.degree()
         # the kept generators of degree below d are final, and so are
-        # the subalgebra's degrees below d
+        # the subalgebra's degrees below d; a generator kept later is
+        # last in generator order, so the tags stay valid
         _extend_span(p, n, kept, bases, d)
         vec = coeff_matrix([g], n, (d,))[:, 0]
-        if not linalg.in_row_space(graded_products(n, kept, bases, d)[1].T, vec, p):
+        if not linalg.in_row_space(_tagged_products(n, kept, bases, d)[1].T, vec, p):
             kept.append(g)
     return kept
 

@@ -272,6 +272,77 @@ class TestReduceGenerators:
             assert str(raised.value) == str(expected.value)
 
 
+def span_dims_all_products(p, n, gens, max_degree):
+    """Reference for `graded_span_dims`: every degree's basis is read
+    back from one rref of all the `graded_products` of the generators
+    with the degrees below it."""
+    bases = {0: [MultiPoly.const(p, n, 1)]}
+    for e in range(1, max_degree + 1):
+        red, pivots = linalg.rref(graded_products(n, gens, bases, e)[1].T, p)
+        bases[e] = linalg.polys(red[: len(pivots)], p, n, (e,))
+    return [len(bases[d]) for d in range(max_degree + 1)], bases
+
+
+@st.composite
+def generator_sets(draw):
+    """Homogeneous generators of positive degree in a random order, and
+    their prime and variable count: random ones, some with their squares
+    among them, or the x_i^p with an element Omega and sometimes Omega^p,
+    which lies in F_p[x_1^p, ..., x_n^p]."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+
+    def homogeneous(degree):
+        monos = monomials_of_degree(n, degree)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos))
+                      .filter(any))
+        return MultiPoly(p, n, {m: c for m, c in zip(monos, coeffs) if c})
+
+    if draw(st.booleans()):
+        gens = [homogeneous(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+        gens += [g * g for g in gens if draw(st.booleans())]
+    else:
+        omega = homogeneous(draw(st.integers(1, 3)))
+        gens = [x**p for x in MultiPoly.gens(p, n)] + [omega]
+        if draw(st.booleans()):
+            gens.append(omega**p)
+    return p, n, draw(st.permutations(gens))
+
+
+def assert_span_matches_all_products(p, n, gens, max_degree):
+    dims, bases = graded_span_dims(p, n, gens, max_degree)
+    expected, reference = span_dims_all_products(p, n, gens, max_degree)
+    assert dims == expected
+    for d in range(max_degree + 1):
+        # the kept products are independent and span the reference's degree
+        both = coeff_matrix(bases[d] + reference[d], n, (d,))
+        assert linalg.rank(both, p) == linalg.rank(coeff_matrix(bases[d], n, (d,)), p) == dims[d]
+
+
+class TestGradedSpan:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_catalog_expected_generators(self, p):
+        for form in potential_catalog(p):
+            assert_span_matches_all_products(p, 3, list(form.expected_center_gens), 3 * p)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_random_generators(self, case):
+        p, n, gens = case
+        assert_span_matches_all_products(p, n, gens, 2 * p + 2)
+
+    def test_square_and_pth_power_relations(self):
+        # g^2 is g times g; Omega^p = x1^p + x2^p, so next to the x_i^p
+        # it adds nothing, and Omega^6 = Omega (x1^p + x2^p)
+        p, n = 5, 2
+        x1, x2 = MultiPoly.gens(p, n)
+        g = x1 + 2 * x2
+        assert graded_span_dims(p, n, [g, g * g], 4)[0] == [1, 1, 1, 1, 1]
+        omega = x1 + x2
+        gens = [omega**p, x1**p, omega, x2**p]
+        assert graded_span_dims(p, n, gens, 7)[0] == [1, 1, 1, 1, 1, 2, 2, 2]
+
+
 class TestHilbert:
     def test_series_length_cap(self):
         # max_degree + 1 coefficients, against the kernel cap

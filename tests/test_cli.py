@@ -281,6 +281,26 @@ class TestTooLarge:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
 
+    @pytest.mark.parametrize("degree", [10**5, 10**8])
+    @pytest.mark.parametrize("options", [
+        ["center", "--engine", "oracle", "--max-degree", "{}"],
+        ["center", "--engine", "both", "--max-degree", "{}"],
+        ["loz", "--normal-degree", "{}"],
+        ["loz", "--normal-degree", "2", "--max-degree", "{}"],
+    ], ids=["oracle", "both", "normal-degree", "max-degree"])
+    def test_one_variable_degree_count(self, capsys, tmp_path, options, degree):
+        # k[x1] has one column per degree, so no width check fires; the
+        # number of degrees is checked against the column cap instead
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({"p": 5, "bracket": {"kind": "skew", "matrix": [[0]]}}))
+        argv = [options[0], "--algebra", str(path)] + [o.format(degree) for o in options[1:]]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == "error: 5001 degrees, cap is 5000\n"
+        assert "Traceback" not in err
+
 
 class TestLoz:
     def test_jordan(self, capsys, jordan_p3):

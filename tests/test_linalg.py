@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poismodp import linalg
-from poismodp.catalog import potential_catalog
-from poismodp.center import bracket_matrices
+from poismodp.catalog import catalog_form, potential_catalog
+from poismodp.center import bracket_matrices, graded_kernel, independent_brackets
+from poismodp.errors import Limits
 from poismodp.fieldpoly import squarefree
 
 from conftest import SEED
@@ -221,6 +222,18 @@ def block_sparse(draw):
     return a[np.ix_(rperm, cperm)], p
 
 
+def recorded_rref(monkeypatch):
+    """The list of the matrices `linalg.rref` is called on from now on."""
+    calls, rref = [], linalg.rref
+
+    def recording(m, p):
+        calls.append(m.copy())
+        return rref(m, p)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    return calls
+
+
 class TestBlockSplit:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(block_sparse())
@@ -246,6 +259,39 @@ class TestBlockSplit:
         assert linalg.rank(a, 5) == 3
         assert [v.tolist() for v in linalg.nullspace(a, 5)] == [
             [0, 0, 1, 0, 0, 0], [3, 0, 0, 1, 0, 0], [0, 3, 0, 0, 1, 0]]
+
+    def test_equal_blocks_eliminated_once(self, monkeypatch):
+        # three copies of one block, their rows and columns interleaved
+        # with those of the others in their own order, a row-shuffled
+        # fourth copy, which is another matrix, and two distinct blocks;
+        # dense blocks of nonzero entries keep every row out of the peel
+        rng, p = np.random.default_rng(SEED), 7
+        block = rng.integers(1, p, (3, 5))
+        blocks = [block, rng.integers(1, p, (2, 4)), block, block[[2, 0, 1]], block,
+                  rng.integers(1, p, (4, 6))]
+        row_owner = rng.permutation(np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]))
+        col_owner = rng.permutation(np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks]))
+        a = np.zeros((len(row_owner), len(col_owner)), dtype=np.int64)
+        for k, b in enumerate(blocks):
+            a[np.ix_((row_owner == k).nonzero()[0], (col_owner == k).nonzero()[0])] = b
+        assert_split_equals_dense(a, p)
+        calls = recorded_rref(monkeypatch)
+        linalg.nullspace(a, p)
+        assert sorted(m.shape for m in calls) == [(2, 4), (3, 5), (3, 5), (4, 6)]
+
+    def test_center_blocks_recur_with_period_p(self, monkeypatch):
+        # Irr1's operators are linear over the p-th powers: its degree-3
+        # block comes back at degree 10 times each x_i^7, and the 14
+        # blocks of degrees 0..16, one elimination, are 5 distinct ones
+        form = catalog_form(7, "Irr1")
+        struct = form.structure()
+        images = independent_brackets(struct, [form.omega])
+        calls = recorded_rref(monkeypatch)
+        kernels = list(graded_kernel(7, 3, 16, images, Limits()))
+        assert len(calls) == 5 and [[4, 3], [6, 1]] in [m.tolist() for m in calls]
+        for d, kernel in kernels:
+            ops = np.vstack(bracket_matrices(struct, d))
+            assert kernel.tolist() == [v.tolist() for v in dense_nullspace(ops, 7)]
 
 
 @st.composite
