@@ -17,7 +17,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import fixtures
 from .catalog import FORM_IDS, catalog_form, potential_catalog, verify_expected_center
 from .center import (
     CenterReport,
@@ -31,7 +30,14 @@ from .center import (
     skew_monoid,
 )
 from .deriv import is_unimodular
-from .errors import InternalCheckFailed, Limits, ParseError, PoisError, require_prime
+from .errors import (
+    InternalCheckFailed,
+    Limits,
+    ParseError,
+    PoisError,
+    SearchSpaceTooLarge,
+    require_prime,
+)
 from .fieldpoly import format_poly
 from .loz import (
     c_loz,
@@ -416,7 +422,13 @@ def _orbit_codes(p: int, n: int) -> np.ndarray:
 def cmd_survey(args) -> int:
     require_prime(args.p)
     p, n = args.p, args.n
-    total = p ** (n * (n - 1) // 2)
+    exponent, cap = n * (n - 1) // 2, args.limits.candidates
+    # p^exponent >= 2^exponent is over the cap once the exponent passes
+    # the cap's bit length; past 64 as well, so that a count that fits
+    # in 64 bits keeps its digits, it is named and never formed
+    if exponent > max(cap.bit_length(), 64):
+        raise SearchSpaceTooLarge(f"{p}^{exponent} matrices in the survey, cap is {cap}")
+    total = p**exponent
     args.limits.check("candidates", total, "matrices in the survey")
     # one row per orbit, copied to the orbit's later members
     codes = _orbit_codes(p, n)
@@ -470,6 +482,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify_fixtures(args) -> int:
+    from . import fixtures  # only this command replays them
+
     results = fixtures.run_all()
     payload = {
         "schema": SCHEMA,

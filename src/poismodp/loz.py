@@ -1,10 +1,15 @@
 """Poisson normal elements, log-ozone derivations, and the log-ozone group.
 
-The group search is degree-bounded: it finds every monic homogeneous
-normal element of total degree <= dmax and closes the resulting set of
-derivations under addition.  The reported group is therefore a verified
-subgroup (a lower bound) of the full log-ozone group; no completeness
-claim is made beyond the search bound.
+The group search is degree-bounded: it finds the least monic
+homogeneous normal element of each log-ozone derivation met up to total
+degree dmax and closes those derivations under addition.  The reported
+group is therefore a verified subgroup (a lower bound) of the full
+log-ozone group; no completeness claim is made beyond the search bound.
+
+Every log-ozone derivation kills the center: for f normal and z
+central, delta_f(z) f = {z, f} = 0, and A is a domain.  So the search
+ranges only over the degree-0 Poisson derivations that kill the central
+elements the structure's provenance names (`_center_killing`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .center import (
     degree_widths,
     graded_kernel_basis,
     graded_products,
+    is_central,
     rank_over_subring,
     skew_monoid,
 )
@@ -45,7 +51,7 @@ from .fieldpoly import (
     monomials_upto_degree,
     squarefree,
 )
-from .linalg import derivation_matrix
+from .linalg import coeff_matrix, derivation_matrix
 from .structure import PoissonStructure
 
 
@@ -123,6 +129,44 @@ def pder0_matrix_space(struct: PoissonStructure) -> np.ndarray:
     return np.array(kernel, dtype=np.int64).reshape(-1, n, n)
 
 
+def _provenance_center(struct: PoissonStructure) -> list[MultiPoly]:
+    """The central elements the structure's provenance names, each
+    confirmed by `is_central`: a potential's Casimir Omega, and for a
+    skew matrix c the monomials x^v for a `nullspace` basis of c mod p,
+    since {x_i, x^v} = (cv)_i x_i x^v."""
+    p, n, prov = struct.p, struct.n, struct.provenance
+    if prov.kind == "potential":
+        central = [prov.omega]
+    elif prov.kind == "skew":
+        kernel = linalg.nullspace(np.array(prov.matrix.entries, dtype=np.int64), p)
+        central = [MultiPoly.monomial(p, n, v.tolist()) for v in kernel]
+    else:
+        central = []
+    for z in central:
+        if not is_central(struct, z):
+            raise InternalCheckFailed(f"the provenance names {z} central, but it is not")
+    return central
+
+
+def _center_killing(struct: PoissonStructure, pder0: np.ndarray) -> np.ndarray:
+    """A basis of the derivations in the span of the (k, n, n) array
+    `pder0` that kill every element of `_provenance_center`, as a
+    (k', n, n) array: y @ pder0 for y in the `nullspace` of the matrix
+    whose column j stacks delta_j(z) over those z.  Every log-ozone
+    derivation is among them: delta_f(z) f = {z, f} = 0 for z central."""
+    p, n = struct.p, struct.n
+    central = _provenance_center(struct)
+    if not central:
+        return pder0
+    deltas = [Derivation.from_matrix(p, m) for m in pder0]
+    # delta(z) has terms in z's degrees only: a potential may add p-th powers
+    images = np.concatenate([coeff_matrix([delta(z) for delta in deltas], n,
+                                          tuple(sorted({sum(e) for e in z.terms})))
+                             for z in central])
+    kernel = np.array(linalg.nullspace(images, p), dtype=np.int64).reshape(-1, len(pder0))
+    return np.tensordot(kernel, pder0, 1) % p
+
+
 def _scan_direct(struct, dmax, limits):
     p, n = struct.p, struct.n
     basis = monomials_upto_degree(n, dmax)
@@ -181,14 +225,18 @@ def _scan_division(struct, d, limits):
     A candidate f has coefficient 1 on its lex-leading monomial m, and
     x_1 m > ... > x_n m lead the x_j f: so {x_i, f} = sum_j q_ij x_j f iff,
     taking q_ij x_j f off for j = 1..n in turn, q_ij is the coefficient of
-    x_j m in what is left and nothing is left at the end."""
+    x_j m in what is left and nothing is left at the end.
+
+    Returns the elements' coefficient rows on the monomials of degree d
+    and their derivations' matrices, in candidate order (see `_pairs`)."""
     p, n = struct.p, struct.n
     count = (p ** comb(d + n - 1, n - 1) - 1) // (p - 1)
     limits.check("candidates", count, f"candidates at degree {d}")
     brackets = bracket_matrices(struct, d)
     # shift[j, c]: the row of x_j times monomial c among those of degree d + 1
     shift = linalg.multiplication_matrices(n, d).argmax(axis=1)
-    found = []
+    rows = [np.zeros((0, brackets.shape[2]), dtype=np.int64)]
+    mats = [np.zeros((0, n, n), dtype=np.int64)]
     for part in _chunks(count, brackets.shape[:2]):
         f = _projective_vectors(p, brackets.shape[2], part)
         lead, stack = (f != 0).argmax(axis=1), np.arange(len(f))
@@ -198,9 +246,9 @@ def _scan_division(struct, d, limits):
             q[:, :, j] = rem[stack, :, shift[j, lead]] % p
             rem[:, :, shift[j]] -= q[:, :, j, None] * f[:, None, :]
         normal = ~(rem % p).any(axis=(1, 2))
-        found.extend(zip(linalg.polys(f[normal], p, n, (d,)),
-                         (Derivation.from_matrix(p, m) for m in q[normal])))
-    return found
+        rows.append(f[normal])
+        mats.append(q[normal])
+    return np.concatenate(rows), np.concatenate(mats)
 
 
 def _scan_eigenspaces(struct, d, pder0, limits):
@@ -208,9 +256,10 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     spaces of {x_i, f} = delta(x_i) f on the degree-d component, delta
     ranging over the span of the (k, n, n) array `pder0`.
 
-    Every monic homogeneous normal element arises this way, since its
-    log-ozone derivation is a degree-0 Poisson derivation; conversely a
-    nonzero solution f is normal by the Leibniz rule.  Same answer as
+    Every monic homogeneous normal element arises this way when the
+    span holds its log-ozone derivation, as that of `pder0_matrix_space`
+    does, and so does the part of it `_center_killing` leaves; conversely
+    a nonzero solution f is normal by the Leibniz rule.  Same answer as
     `_scan_division`, cheaper when p^k is small against the candidates.
 
     Block i of the system depends only on row i of delta's matrix, so it
@@ -225,7 +274,9 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     With K in `nullspace` form, yK is too (see `_survivor_kernels`).
     The monic elements of the survivors' kernels count against the
     candidate limit before any is built; each chunk's are made monic in
-    numpy and read back as polynomials at once.
+    numpy.  Returns the elements' coefficient rows on the monomials of
+    degree d and their derivations' matrices, in candidate order (see
+    `_pairs`).
     """
     p, n = struct.p, struct.n
     k = len(pder0)
@@ -274,22 +325,23 @@ def _scan_eigenspaces(struct, d, pder0, limits):
     padded0 = np.zeros((len(kernels0), dims0.max(), brackets.shape[2]), dtype=np.int64)
     for s, kernel in enumerate(kernels0):
         padded0[s, : len(kernel)] = kernel
-    found = []
+    rows = [np.zeros((0, brackets.shape[2]), dtype=np.int64)]
+    mats = [np.zeros((0, n, n), dtype=np.int64)]
     elements = 0
     survivors = np.flatnonzero(alive)
     for part in _chunks(len(survivors), brackets.shape):
         D = np.tensordot(_digits(survivors[part], p, k), pder0, 1) % p
         slots = slot[D[:, 0, reduced[0][1]] @ weights[0]]
-        solutions, deltas = [], []
+        solutions, owners = [], []
         for b, kernel in _survivor_kernels(brackets, mults, D, padded0[slots], dims0[slots], p):
             elements += (p ** len(kernel) - 1) // (p - 1)
             limits.check("candidates", elements, f"normal elements at degree {d}")
             solutions.append(_projective_vectors(p, len(kernel)) @ kernel % p)
-            deltas += [Derivation.from_matrix(p, D[b])] * len(solutions[-1])
+            owners += [b] * len(solutions[-1])
         if solutions:
-            monic = linalg.monic_rows(np.concatenate(solutions), p)
-            found.extend(zip(linalg.polys(monic, p, n, (d,)), deltas))
-    return found
+            rows.append(linalg.monic_rows(np.concatenate(solutions), p))
+            mats.append(D[owners])
+    return np.concatenate(rows), np.concatenate(mats)
 
 
 def _survivor_kernels(brackets, mults, D, K, dims, p):
@@ -320,51 +372,102 @@ def _survivor_kernels(brackets, mults, D, K, dims, p):
         yield b, y @ K[b, : dims[b]] % p
 
 
+def _pairs(p, n, d, rows, mats):
+    """A graded scan's elements and derivations read back: the
+    polynomials with the coefficient rows `rows` on the monomials of
+    degree d, each with the derivation of its (n, n) matrix in `mats`,
+    built once per distinct matrix."""
+    deltas = {}
+    pairs = []
+    for f, m in zip(linalg.polys(rows, p, n, (d,)), mats):
+        key = m.tobytes()
+        if key not in deltas:
+            deltas[key] = Derivation.from_matrix(p, m)
+        pairs.append((f, deltas[key]))
+    return pairs
+
+
+def _least_per_derivation(rows, mats):
+    """The indices of the lexicographically least row of each distinct
+    matrix: one lexsort by matrix, then row, and the first of each run.
+    On monic rows of one degree this is the least `MultiPoly.sort_key`,
+    whose `key` lists the terms in the order of the columns, with 0
+    below every nonzero value."""
+    flat = mats.reshape(len(mats), prod(mats.shape[1:]))
+    order = np.lexsort(np.concatenate([flat, rows], axis=1).T[::-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (flat[order[1:]] != flat[order[:-1]]).any(axis=1)
+    return order[first]
+
+
 def enumerate_normal(
-    struct: PoissonStructure, dmax: int, limits: Limits = Limits()
+    struct: PoissonStructure, dmax: int, limits: Limits = Limits(), *,
+    per_derivation: bool = False,
 ) -> list[tuple[MultiPoly, Derivation]]:
     """All monic normal elements up to total degree dmax with their
-    log-ozone derivations, in a deterministic order.
+    log-ozone derivations, in `MultiPoly.sort_key` order.
 
     Graded structures are scanned degree by degree over homogeneous
     candidates, once every degree's width has passed `degree_widths`;
     otherwise the whole filtration (constant terms allowed) is scanned.
+    The eigenspace scan ranges over the degree-0 Poisson derivations
+    that kill the central elements the provenance names
+    (`_center_killing`), so the candidate cap counts the p^k' left.
+
+    With `per_derivation`, only the least element of each derivation is
+    kept: that of lowest degree, then least `sort_key`.  The graded scans
+    pick it in numpy, and only the kept elements are read back as
+    polynomials.  Every pair returned is checked in `MultiPoly` against
+    its own derivation, {x_i, f} = delta(x_i) f; elements not returned
+    are never built as polynomials.
     """
     p, n = struct.p, struct.n
-    found: list[tuple[MultiPoly, Derivation]] = []
-    if struct.graded:
-        widths = degree_widths(n, dmax, limits)
-        pder0 = None
-        # in units of one division candidate (1 us at n=3, degree 2, 2.5-4.7
-        # us at degree 3 or n=4): row values cost 2-6 units, counted as 5,
-        # and the pass over the p^k candidate derivations 0.11 us each,
-        # counted as 1/20.  At p=5, n=3 dividing took 0.15-0.2 ms at degree
-        # 1 (the eigenspace scan 0.5-2.6 ms) and 3.8-4.9 ms at degree 2 (0.7-3.4)
-        def eigenspace_cost(k):
-            return 5 * n * p ** min(k, n) + p**k // 20
-
-        for d in range(1, dmax + 1):
-            candidates = (p ** widths[d] - 1) // (p - 1)
-            # x_i |-> x_i is a degree-0 Poisson derivation of every quadratic
-            # bracket, so k >= 1: pder0 is built once, and only for a degree
-            # that costs more than the eigenspace scan with k = 1
-            if pder0 is None and candidates > eigenspace_cost(1):
-                pder0 = pder0_matrix_space(struct)
-            if (pder0 is not None and candidates > eigenspace_cost(len(pder0))
-                    and p ** len(pder0) <= limits.candidates):
-                scan, batch = "eigenspace", _scan_eigenspaces(struct, d, pder0, limits)
-            else:
-                scan, batch = "division", _scan_division(struct, d, limits)
-            # checked in MultiPoly, not linalg, and against delta itself
-            for f, delta in batch:
-                if any(struct.bracket_with_gen(i, f) != delta.images[i] * f
-                       for i in range(n)):
-                    raise InternalCheckFailed(f"{scan} scan paired {f} with a "
-                                              "derivation not its own")
-            found.extend(batch)
-    else:
+    if not struct.graded:
         limits.check("columns", comb(dmax + n, n), "filtration columns")
-        found.extend(_scan_direct(struct, dmax, limits))
+        found = sorted(_scan_direct(struct, dmax, limits), key=lambda pair: pair[0].sort_key())
+        if per_derivation:
+            least = {}
+            for f, delta in found:
+                least.setdefault(delta.key(), (f, delta))
+            found = list(least.values())
+        return found
+    found: list[tuple[MultiPoly, Derivation]] = []
+    widths = degree_widths(n, dmax, limits)
+    pder0 = None
+    kept = set()  # the matrices of the derivations kept, with per_derivation
+    # in units of one division candidate (1 us at n=3, degree 2, 2.5-4.7
+    # us at degree 3 or n=4): row values cost 2-6 units, counted as 5,
+    # and the pass over the p^k candidate derivations 0.11 us each,
+    # counted as 1/20.  At p=5, n=3 dividing took 0.15-0.2 ms at degree
+    # 1 (the eigenspace scan 0.5-2.6 ms) and 3.8-4.9 ms at degree 2 (0.7-3.4)
+    def eigenspace_cost(k):
+        return 5 * n * p ** min(k, n) + p**k // 20
+
+    for d in range(1, dmax + 1):
+        candidates = (p ** widths[d] - 1) // (p - 1)
+        # x_i |-> x_i is a degree-0 Poisson derivation of every quadratic
+        # bracket, so pder0_matrix_space has k >= 1: it is built once, and
+        # only for a degree that costs more than the eigenspace scan with
+        # k = 1, although the span _center_killing leaves may be {0}
+        if pder0 is None and candidates > eigenspace_cost(1):
+            pder0 = _center_killing(struct, pder0_matrix_space(struct))
+        if (pder0 is not None and candidates > eigenspace_cost(len(pder0))
+                and p ** len(pder0) <= limits.candidates):
+            scan, (rows, mats) = "eigenspace", _scan_eigenspaces(struct, d, pder0, limits)
+        else:
+            scan, (rows, mats) = "division", _scan_division(struct, d, limits)
+        if per_derivation:
+            keep = [i for i in _least_per_derivation(rows, mats).tolist()
+                    if mats[i].tobytes() not in kept]
+            kept.update(mats[i].tobytes() for i in keep)
+            rows, mats = rows[keep], mats[keep]
+        batch = _pairs(p, n, d, rows, mats)
+        # checked in MultiPoly, not linalg, and against delta itself
+        for f, delta in batch:
+            if any(struct.bracket_with_gen(i, f) != delta.images[i] * f for i in range(n)):
+                raise InternalCheckFailed(f"{scan} scan paired {f} with a "
+                                          "derivation not its own")
+        found.extend(batch)
     found.sort(key=lambda pair: pair[0].sort_key())
     return found
 
@@ -416,11 +519,16 @@ def log_ozone_group(
 ) -> LozGroup:
     """Group generated by the derivations of all normal elements of
     degree <= dmax.  Sums are realized by products of normal elements,
-    so closing under addition stays inside the true log-ozone group."""
+    so closing under addition stays inside the true log-ozone group.
+
+    The search keeps only the least normal element of each derivation
+    (`enumerate_normal` with `per_derivation`): `found` maps each
+    derivation to that element, the first it would meet in `sort_key`
+    order, and each of them is checked against its derivation."""
     if not struct.graded:
         raise NotGraded("the log-ozone group search requires a graded structure")
     p, n = struct.p, struct.n
-    pairs = enumerate_normal(struct, dmax, limits)
+    pairs = enumerate_normal(struct, dmax, limits, per_derivation=True)
 
     zero = Derivation.zero(p, n)
     found = {zero.key(): (zero, MultiPoly.const(p, n, 1))}

@@ -281,6 +281,40 @@ class TestTooLarge:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
 
+    # each size flag of each command and engine: those of center and loz
+    # on skew brackets on n = 1, 2 and 3 variables; catalog and survey
+    # take no algebra
+    SKEW = {1: [[0]], 2: [[0, 1], [-1, 0]], 3: [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]}
+    FLAGS = {"oracle": ["center", "--engine", "oracle", "--max-degree"],
+             "monoid": ["center", "--engine", "monoid", "--max-degree"],
+             "both": ["center", "--engine", "both", "--max-degree"],
+             "normal-degree": ["loz", "--normal-degree"],
+             "max-degree": ["loz", "--normal-degree", "2", "--max-degree"]}
+
+    @pytest.mark.parametrize("size", [10**6, 10**8])
+    @pytest.mark.parametrize("options, n", [
+        pytest.param(options, n, id=f"{name}-n{n}")
+        for name, options in FLAGS.items() for n in (1, 2, 3)
+    ] + [
+        pytest.param(["catalog", "--p", "5", "--verify", "--max-degree"], None, id="catalog"),
+        pytest.param(["survey", "--p", "3", "--n"], None, id="survey"),
+    ])
+    def test_every_size_flag(self, capsys, tmp_path, options, n, size):
+        # every command stops at once on a size flag far over its caps;
+        # the calls run in this process, one at a time
+        argv = options + [str(size)]
+        if n is not None:
+            path = tmp_path / "algebra.json"
+            path.write_text(json.dumps({"p": 5, "bracket": {"kind": "skew",
+                                                            "matrix": self.SKEW[n]}}))
+            argv[1:1] = ["--algebra", str(path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("degree", [10**5, 10**8])
     @pytest.mark.parametrize("options", [
         ["center", "--engine", "oracle", "--max-degree", "{}"],
@@ -353,11 +387,31 @@ class TestLoz:
         assert main(["loz", "--algebra", str(path), "--normal-degree", "300"]) == 2
         assert capsys.readouterr().err == "error: 5050 columns at degree 99, cap is 5000\n"
 
+    def test_candidate_cap_counts_the_derivations_left(self, capsys, tmp_path):
+        # Cube at p=5 has k = 6 degree-0 Poisson derivations, and k' = 5
+        # that kill x1^3: with a cap of 10000 the eigenspace scan takes
+        # its 5^5 candidates at degrees 2 and 3, where 5^6 left 2 441 406
+        # cubics to divide.  The 3906 quadrics are divided from a cap of
+        # 3124 down
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 5, "bracket": {"kind": "potential", "omega": "x1^3"},
+        }))
+        argv = ["loz", "--algebra", str(path), "--predicates", "--format", "json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        for cap in (10000, 3125):
+            assert main(argv + ["--cap-candidates", str(cap)]) == 0
+            assert capsys.readouterr().out == expected
+        assert main(argv + ["--cap-candidates", "3124"]) == 2
+        assert capsys.readouterr().err == "error: 3906 candidates at degree 2, cap is 3124\n"
+
     def test_failed_self_check_exits_1(self, capsys, monkeypatch, tmp_path):
         # at degree 2 the search takes the eigenspace scan (cost
-        # 5*3*5^3 + 5^3//20 = 1881 against 3906 projective quadrics),
-        # whose answers are re-verified against their derivations; no
-        # quadric is central here, so none has the zero derivation
+        # 5*3*5^2 + 5^2//20 = 376 on the k' = 2 derivations that kill the
+        # central x1^3 x2^3 x3, against 3906 projective quadrics), whose
+        # answers are re-verified against their derivations; no quadric
+        # is central here, so none has the zero derivation
         path = tmp_path / "skew3_p5.json"
         path.write_text(json.dumps({
             "schema": 1, "p": 5,
@@ -367,7 +421,7 @@ class TestLoz:
         scan = loz._scan_eigenspaces
         monkeypatch.setattr(
             "poismodp.loz._scan_eigenspaces",
-            lambda s, *args: [(f, Derivation.zero(s.p, s.n)) for f, _ in scan(s, *args)],
+            lambda *args: (lambda rows, mats: (rows, 0 * mats))(*scan(*args)),
         )
         code = main(["loz", "--algebra", str(path), "--normal-degree", "2"])
         err = capsys.readouterr().err
@@ -388,7 +442,7 @@ class TestLoz:
         scan = loz._scan_division
         monkeypatch.setattr(
             "poismodp.loz._scan_division",
-            lambda s, *args: [(f, Derivation.zero(s.p, s.n)) for f, _ in scan(s, *args)],
+            lambda *args: (lambda rows, mats: (rows, 0 * mats))(*scan(*args)),
         )
         code = main(["loz", "--algebra", str(path), "--normal-degree", "1"])
         err = capsys.readouterr().err
@@ -957,7 +1011,9 @@ class TestVerifyFixtures:
 
 def test_commands_never_import_numpy_ma(tmp_path):
     # a 1-D np.unique imports numpy.ma on its first call, 12-21 ms of a
-    # job of about 10 ms; a fresh process shows whether any command did
+    # job of about 10 ms; a fresh process shows whether any command did.
+    # Only verify-fixtures imports poismodp.fixtures, which cost every
+    # command 5-9 ms of set-up without a bytecode cache
     cube, skew = tmp_path / "cube.json", tmp_path / "skew.json"
     cube.write_text(json.dumps({"p": 5, "bracket": {"kind": "potential", "omega": "x1^3"}}))
     skew.write_text(json.dumps({"p": 5, "bracket": {
@@ -971,7 +1027,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["loz", "--algebra", {str(skew)!r}, "--predicates", "--format", "json"],
         ["catalog", "--p", "7", "--verify", "--max-degree", "14", "--format", "json"],
         ["survey", "--p", "3", "--n", "4", "--format", "json"])]
-print(codes, "numpy.ma" in sys.modules)
+print(codes, "numpy.ma" in sys.modules, "poismodp.fixtures" in sys.modules)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -981,4 +1037,4 @@ print(codes, "numpy.ma" in sys.modules)
     assert run.returncode == 0, run.stderr
     # catalog --verify exits 1: SquareLine's expected center is known to
     # miss generators (tests/test_acceptance.py)
-    assert run.stdout == "[0, 0, 1, 0] False\n"
+    assert run.stdout == "[0, 0, 1, 0] False False\n"

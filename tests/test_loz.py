@@ -52,6 +52,8 @@ from poismodp.loz import (
     theorem212_check,
 )
 from poismodp.structure import (
+    PoissonStructure,
+    Provenance,
     SkewMatrix,
     explicit_structure,
     from_potential,
@@ -99,15 +101,25 @@ def reference_scan(s, d):
     return found
 
 
+def division_pairs(s, d, limits=Limits()):
+    """`_scan_division`'s rows and matrices read back as pairs."""
+    return loz._pairs(s.p, s.n, d, *_scan_division(s, d, limits))
+
+
+def eigenspace_pairs(s, d, pder0, limits=Limits()):
+    """`_scan_eigenspaces`'s rows and matrices read back as pairs."""
+    return loz._pairs(s.p, s.n, d, *_scan_eigenspaces(s, d, pder0, limits))
+
+
 def assert_paths_agree(s, degrees):
     """The division scan and the eigenspace scan find the same
     (element, derivation) pairs at each degree, each pair once, and so
     does `reference_scan` where it is cheap."""
     pder0 = pder0_matrix_space(s)
     for d in degrees:
-        division = keys(_scan_division(s, d, Limits()))
+        division = keys(division_pairs(s, d))
         assert len(set(division)) == len(division), d
-        assert set(division) == set(keys(_scan_eigenspaces(s, d, pder0, Limits()))), d
+        assert set(division) == set(keys(eigenspace_pairs(s, d, pder0))), d
         if (s.p ** math.comb(d + s.n - 1, d) - 1) // (s.p - 1) <= REFERENCE_CANDIDATES:
             assert division == reference_scan(s, d), d
 
@@ -173,14 +185,15 @@ class TestEigenspaceStacks:
     def test_matches_per_row_value_scan(self, s):
         pder0 = pder0_matrix_space(s)
         for d in (1, 2, 3):
-            assert (keys(_scan_eigenspaces(s, d, pder0, Limits()))
+            assert (keys(eigenspace_pairs(s, d, pder0))
                     == keys(per_row_value_scan(s, d, pder0))), d
 
     # a budget of 1 entry makes chunks of one matrix; 900 makes chunks of
     # two survivors at degree 3, whose 45 x 10 systems are eliminated as
     # 30 x dim K stacks on their row-0 kernels K; 1050 makes row-filter
     # chunks of seven 15 x 10 blocks there, so that the first of skew
-    # (2, 2, 0), whose rows span 5, 25 and 25 values, holds values of
+    # (2, 2, 0), whose rows span 5 values each on the k' = 2
+    # derivations that kill its central x2 x3^4, holds values of
     # rows 0 and 1; 130 makes the division scan's chunks at degree 1
     # seven candidates of 3 x 6 remainders, two of which span two leads
     @pytest.mark.parametrize("budget", [1, 130, 900, 1050])
@@ -215,29 +228,33 @@ class TestEigenspaceStacks:
 
         monkeypatch.setattr("poismodp.loz._survivor_kernels", record)
         for d in (1, 2, 3, 4):
-            assert (keys(_scan_eigenspaces(s, d, pder0, Limits()))
+            assert (keys(eigenspace_pairs(s, d, pder0))
                     == keys(per_row_value_scan(s, d, pder0))), d
         assert [rows for rows, _, _ in shapes] == [3, 4, 5, 6]
         assert all(width <= columns for _, columns, width in shapes)
 
     def test_row_0_span_is_zero(self):
         # the diagonal derivations with x1 |-> 0: row 0 of every candidate
-        # is 0, so row 0 has one value, whose block is ad_{x1} alone
-        s = skew3(5, (2, 2, 0))
-        pder0 = np.zeros((2, 3, 3), dtype=np.int64)
-        pder0[0, 1, 1] = pder0[1, 2, 2] = 1
+        # is 0, so row 0 has one value, whose block is ad_{x1} alone.  The
+        # division scan checks degrees up to `divided`: degree 3 at p=5
+        # would divide 2.4M candidates, at p=3 it divides 29 524
+        for p, divided in ((5, 2), (3, 3)):
+            s = skew3(p, (2, 2, 0))
+            pder0 = np.zeros((2, 3, 3), dtype=np.int64)
+            pder0[0, 1, 1] = pder0[1, 2, 2] = 1
 
-        def in_span(delta):
-            m = delta.matrix() % 5
-            return m[0, 0] == 0 and not (m - np.diag(np.diag(m))).any()
+            def in_span(delta):
+                m = delta.matrix() % p
+                return m[0, 0] == 0 and not (m - np.diag(np.diag(m))).any()
 
-        for d in (1, 2, 3):
-            found = keys(_scan_eigenspaces(s, d, pder0, Limits()))
-            assert found == keys(per_row_value_scan(s, d, pder0)), d
-            assert set(found) == {(f.key(), delta.key())
-                                  for f, delta in _scan_division(s, d, Limits())
-                                  if in_span(delta)}, d
-            assert found, d  # x1^d, with x2, x3 |-> -2 x2, -2 x3 times d
+            for d in (1, 2, 3):
+                found = keys(eigenspace_pairs(s, d, pder0))
+                assert found == keys(per_row_value_scan(s, d, pder0)), (p, d)
+                if d <= divided:
+                    assert set(found) == {(f.key(), delta.key())
+                                          for f, delta in division_pairs(s, d)
+                                          if in_span(delta)}, (p, d)
+                assert found, (p, d)  # x1^d, with x2, x3 |-> -2d x2, -2d x3
 
     def test_one_chunk_of_several_kernel_dimensions(self, monkeypatch):
         # at degree 3 the 64 survivors of skew (2, 2, 0) have row-0 kernels
@@ -250,10 +267,84 @@ class TestEigenspaceStacks:
             "poismodp.loz._survivor_kernels",
             lambda brackets, mults, D, K, d, p: dims.append(d) or kernels(
                 brackets, mults, D, K, d, p))
-        assert (keys(_scan_eigenspaces(s, 3, pder0, Limits()))
+        assert (keys(eigenspace_pairs(s, 3, pder0))
                 == keys(per_row_value_scan(s, 3, pder0)))
         [chunk] = dims
         assert len(chunk) == 64 and sorted(set(chunk.tolist())) == [1, 2, 3, 4]
+
+
+class TestCenterKilling:
+    """The search ranges over the degree-0 Poisson derivations that kill
+    the provenance's central elements, and the group keeps one element
+    per derivation."""
+
+    # and two potentials with p-th powers, which are not homogeneous,
+    # and the zero skew bracket on two variables, whose x1 and x2 are
+    # central: k = 4, k' = 0
+    STRUCTURES = ([f.structure() for p in (5, 7) for f in potential_catalog(p)]
+                  + [skew3(5, u) for u in LOZ_SKEW_UPPERS]
+                  + [from_potential(parse_poly(omega, 5, 3))
+                     for omega in ("x1^3 + x2^5", "x1*x2*x3 + x3^5 + x1^10")]
+                  + [from_skew_matrix(SkewMatrix.from_rows(5, [[0, 0], [0, 0]]))])
+    IDS = ([f"{f.label}-p{p}" for p in (5, 7) for f in potential_catalog(p)]
+           + ["skew" + "".join(map(str, u)) for u in LOZ_SKEW_UPPERS]
+           + ["pth-powers1", "pth-powers2", "skew-zero"])
+
+    @pytest.mark.parametrize("s", STRUCTURES, ids=IDS)
+    def test_same_answer_without_the_restriction(self, monkeypatch, s):
+        restricted = keys(enumerate_normal(s, 3))
+        pder0 = pder0_matrix_space(s)
+        killing = loz._center_killing(s, pder0)
+        assert len(killing) < len(pder0)
+        for delta in killing:
+            d = Derivation.from_matrix(s.p, delta)
+            assert all(d(z).is_zero for z in loz._provenance_center(s))
+        monkeypatch.setattr("poismodp.loz._center_killing", lambda struct, pder0: pder0)
+        assert keys(enumerate_normal(s, 3)) == restricted
+
+    @pytest.mark.parametrize("s", STRUCTURES, ids=IDS)
+    def test_group_keeps_the_first_pair_per_derivation(self, s):
+        first = {}
+        for f, delta in enumerate_normal(s, 3):
+            first.setdefault(delta.key(), (f, delta))
+        assert keys(enumerate_normal(s, 3, per_derivation=True)) == keys(first.values())
+        zero = Derivation.zero(s.p, s.n)
+        expected = {zero.key(): (zero, MultiPoly.const(s.p, s.n, 1))}
+        for key, (f, delta) in first.items():
+            expected.setdefault(key, (delta, f))
+        found = log_ozone_group(s, 3).found
+        assert [(k, d.key(), f.key()) for k, (d, f) in found.items()] == [
+            (k, d.key(), f.key()) for k, (d, f) in expected.items()]
+
+    def test_no_derivation_left_on_irr1(self):
+        # div(delta) Omega = delta(Omega): Irr1's one degree-0 Poisson
+        # derivation, the Euler one, multiplies Omega by 3, so k' = 0 and
+        # the eigenspace scan has the zero derivation as its one candidate
+        s = catalog_form(5, "Irr1").structure()
+        pder0 = pder0_matrix_space(s)
+        killing = loz._center_killing(s, pder0)
+        assert (len(pder0), killing.shape) == (1, (0, 3, 3))
+        for d in (1, 2, 3):
+            found = eigenspace_pairs(s, d, killing)
+            assert all(delta.is_zero() for _, delta in found)
+            # degree 3 has 2.4M division candidates: compare with k = 1
+            other = division_pairs(s, d) if d < 3 else eigenspace_pairs(s, d, pder0)
+            assert set(keys(found)) == set(keys(other)), d
+        pairs = enumerate_normal(s, 3)
+        assert [format_poly(f) for f, _ in pairs] == [format_poly(s.provenance.omega.monic())]
+
+    def test_provenance_must_be_central(self):
+        # a potential or a skew matrix the bracket does not come from
+        cube5 = cube(5)
+        wrong = PoissonStructure(5, 3, cube5.table,
+                                 Provenance(kind="potential", omega=parse_poly("x2^3", 5, 3)))
+        with pytest.raises(InternalCheckFailed, match="names x2\\^3 central, but it is not"):
+            enumerate_normal(wrong, 3)
+        s = skew3(5, (2, 2, 0))
+        other = SkewMatrix.from_rows(5, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        wrong = PoissonStructure(5, 3, s.table, Provenance(kind="skew", matrix=other))
+        with pytest.raises(InternalCheckFailed, match="names x3 central, but it is not"):
+            enumerate_normal(wrong, 3)
 
 
 class TestProjectiveVectors:
@@ -424,7 +515,7 @@ class TestEnumerate:
         assert {format_poly(f) for f, _ in pairs} == {"x1"}
 
     def test_cube_only_central(self):
-        # at p=7, degree 3 takes the eigenspace scan over 7^6 candidates
+        # at p=7, degree 3 takes the eigenspace scan over 7^5 candidates
         for p, dmax in ((5, 2), (7, 3)):
             pairs = enumerate_normal(cube(p), dmax)
             assert all(d.is_zero() for _, d in pairs)
@@ -456,11 +547,12 @@ class TestEnumerate:
 
     def test_cube_row_filter_work(self, monkeypatch):
         # the scan eliminates its row values and survivors as stacks, so
-        # the only kernel is pder0_matrix_space's; each of the degrees 2
-        # and 3 it scans takes one stack of all three rows' 255 values and
-        # one of the survivors, 512 matrices in all, where an unpruned
-        # scan would send every one of the 5^6 candidates through the
-        # survivor stack
+        # the only kernels are pder0_matrix_space's and the one that cuts
+        # its k = 6 down to the k' = 5 that kill Omega; each of the
+        # degrees 2 and 3 it scans takes one stack of all three rows' 251
+        # values (row 0 is 0 on the k' = 5) and one of the survivors, 504
+        # matrices in all, where an unpruned scan would send every one of
+        # the 5^5 candidates through the survivor stack
         calls, matrices = [], []
         nullspace, rref_stack = linalg.nullspace, linalg.rref_stack
         monkeypatch.setattr(
@@ -471,8 +563,8 @@ class TestEnumerate:
             lambda a, p: matrices.append(len(a)) or rref_stack(a, p),
         )
         assert len(enumerate_normal(cube(5), 3)) == 3
-        assert len(calls) == 1
-        assert matrices == [255, 1, 255, 1]
+        assert len(calls) == 2
+        assert matrices == [251, 1, 251, 1]
 
     def test_paths_agree(self):
         # degree 3 at p=5 means 2.4M division candidates; cross-validate
@@ -534,13 +626,11 @@ class TestEnumerate:
         scan, swapped = _scan_eigenspaces, []
 
         def swap(struct, d, pder0, limits):
-            batch = scan(struct, d, pder0, limits)
-            first = batch[0][1].key()
-            j = next(j for j, (_, delta) in enumerate(batch) if delta.key() != first)
-            (f0, d0), (fj, dj) = batch[0], batch[j]
-            batch[0], batch[j] = (f0, dj), (fj, d0)
+            rows, mats = scan(struct, d, pder0, limits)
+            j = next(j for j, m in enumerate(mats) if (m != mats[0]).any())
+            mats[[0, j]] = mats[[j, 0]]
             swapped.append(d)
-            return batch
+            return rows, mats
 
         monkeypatch.setattr("poismodp.loz._scan_eigenspaces", swap)
         with pytest.raises(InternalCheckFailed, match="not its own"):
@@ -554,17 +644,44 @@ class TestEnumerate:
         scan, swapped = _scan_division, []
 
         def swap(struct, d, limits):
-            batch = scan(struct, d, limits)
-            (f0, d0), (f1, d1) = batch[:2]
-            assert d0 != d1
-            batch[0], batch[1] = (f0, d1), (f1, d0)
+            rows, mats = scan(struct, d, limits)
+            assert (mats[0] != mats[1]).any()
+            mats[[0, 1]] = mats[[1, 0]]
             swapped.append(d)
-            return batch
+            return rows, mats
 
         monkeypatch.setattr("poismodp.loz._scan_division", swap)
         with pytest.raises(InternalCheckFailed, match="^division scan paired .* not its own"):
             enumerate_normal(catalog_form(5, "ThreeLines").structure(), 3)
         assert swapped == [1]
+
+    def test_kept_pairs_check_their_derivation(self, monkeypatch):
+        # with per_derivation only the least element of each derivation
+        # is read back and checked.  At degree 2 the least quadric of all
+        # is given the derivation of an element whose derivation is first
+        # met at degree 2, and that element the quadric's: the quadric is
+        # then the least element of that derivation, kept and checked
+        s = catalog_form(5, "ThreeLines").structure()
+        first = {delta.matrix().tobytes() for f, delta
+                 in enumerate_normal(s, 3, per_derivation=True) if f.degree() == 2}
+        scan, swapped = _scan_eigenspaces, []
+
+        def swap(struct, d, pder0, limits):
+            rows, mats = scan(struct, d, pder0, limits)
+            if d == 2:
+                a = np.lexsort(rows.T[::-1])[0]
+                b = next(b for b, m in enumerate(mats)
+                         if m.tobytes() in first and (m != mats[a]).any())
+                mats[[a, b]] = mats[[b, a]]
+                swapped.append(d)
+            return rows, mats
+
+        monkeypatch.setattr("poismodp.loz._scan_eigenspaces", swap)
+        with pytest.raises(InternalCheckFailed, match="^eigenspace scan paired .* not its own"):
+            enumerate_normal(s, 3, per_derivation=True)
+        with pytest.raises(InternalCheckFailed, match="not its own"):
+            log_ozone_group(s, 3)
+        assert swapped == [2, 2]
 
     def test_pder0_built_at_most_once(self, monkeypatch):
         # Cube at p=5 takes the eigenspace scan at degrees 2 and 3, and the
@@ -599,7 +716,7 @@ class TestEnumerate:
         assert k == 9
         tracemalloc.start()
         try:
-            found = _scan_eigenspaces(s, 1, pder0, Limits())
+            found = eigenspace_pairs(s, 1, pder0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,12 +731,12 @@ class TestEnumerate:
         pder0 = pder0_matrix_space(s)
         tracemalloc.start()
         try:
-            found = _scan_eigenspaces(s, 1, pder0, Limits())
+            found = eigenspace_pairs(s, 1, pder0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(found) == 31  # every monic linear form, with delta = 0
-        direct = _scan_division(s, 1, Limits())
+        direct = division_pairs(s, 1)
         assert {(f.key(), d.key()) for f, d in found} == {
             (f.key(), d.key()) for f, d in direct}
         assert peak < 32 * 2**20
